@@ -636,8 +636,8 @@ impl Harness {
     /// raw `samples_ns` arrays ride next to the summary statistics.
     fn json_artifact(&self) -> String {
         let mut out = format!(
-            "{{\"target\":\"{}\",\"budget_ms\":{},\"benches\":[",
-            self.target,
+            "{{\"target\":{},\"budget_ms\":{},\"benches\":[",
+            json::string(&self.target),
             self.opts.budget.as_millis()
         );
         for (i, s) in self.stats.iter().enumerate() {
@@ -645,10 +645,10 @@ impl Harness {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\
+                "{{\"name\":{},\"min_ns\":{:.1},\"median_ns\":{:.1},\"mean_ns\":{:.1},\
                  \"ci_lo_ns\":{:.1},\"ci_hi_ns\":{:.1},\"confidence\":{},\"batches\":{},\
                  \"iters\":{}",
-                s.name,
+                json::string(&s.name),
                 s.min_ns,
                 s.median_ns,
                 s.mean_ns,
@@ -688,8 +688,9 @@ impl Harness {
             out.push_str("]}");
         }
         out.push(']');
+        // Annotation values are JSON fragments by contract; keys are text.
         for (key, value) in &self.extras {
-            out.push_str(&format!(",\"{key}\":{value}"));
+            out.push_str(&format!(",{}:{value}", json::string(key)));
         }
         out.push_str("}\n");
         out
@@ -697,14 +698,14 @@ impl Harness {
 
     /// One JSONL line per bench for the per-commit trajectory artifact.
     fn trajectory_lines(&self) -> String {
-        let commit = self.opts.commit.as_deref().unwrap_or("unknown");
+        let commit = json::string(self.opts.commit.as_deref().unwrap_or("unknown"));
+        let target = json::string(&self.target);
         let mut out = String::new();
         for s in &self.stats {
             out.push_str(&format!(
-                "{{\"commit\":\"{commit}\",\"target\":\"{}\",\"bench\":\"{}\",\
+                "{{\"commit\":{commit},\"target\":{target},\"bench\":{},\
                  \"median_ns\":{:.1},\"ci_lo_ns\":{:.1},\"ci_hi_ns\":{:.1},\"batches\":{}",
-                self.target,
-                s.name,
+                json::string(&s.name),
                 s.median_ns,
                 s.ci.lo,
                 s.ci.hi,
@@ -1064,5 +1065,22 @@ mod tests {
             assert!(row.ends_with('}'));
             assert!(row.contains("\"ci_lo_ns\":"));
         }
+    }
+
+    #[test]
+    fn labels_with_quotes_and_backslashes_roundtrip() {
+        let label = r#"v1 "quoted" C:\ci\run"#;
+        let mut h = test_harness(20, None);
+        h.target = "t\"x".to_string();
+        h.opts.commit = Some(label.to_string());
+        h.bench(r#"alpha\"beta"#, || 1u64);
+        let points = crate::trajectory::parse_lines(&h.trajectory_lines()).expect("parses");
+        assert_eq!(points.len(), 1);
+        assert_eq!(points[0].commit, label);
+        assert_eq!(points[0].target, "t\"x");
+        assert_eq!(points[0].bench, r#"alpha\"beta"#);
+        let artifact = crate::baseline::Baseline::from_json(&h.json_artifact()).expect("parses");
+        assert_eq!(artifact.target, "t\"x");
+        assert_eq!(artifact.benches[0].name, r#"alpha\"beta"#);
     }
 }

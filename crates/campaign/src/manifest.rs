@@ -38,58 +38,33 @@ impl ManifestEntry {
     pub fn to_line(&self) -> String {
         format!(
             r#"{{"shard":{},"hash":{},"wall_ms":{},"cache":{},"path":{}}}"#,
-            quote(&self.shard),
-            quote(&self.hash),
+            json::string(&self.shard),
+            json::string(&self.hash),
             self.wall_ms,
             if self.cache_hit {
                 "\"hit\""
             } else {
                 "\"miss\""
             },
-            quote(&self.path),
+            json::string(&self.path),
         )
     }
 
     /// Parse one line; `None` for anything malformed (corrupt tail).
     pub fn parse_line(line: &str) -> Option<ManifestEntry> {
-        let mut s = Scanner::new(line.trim());
-        s.eat('{')?;
-        let mut shard = None;
-        let mut hash = None;
-        let mut wall_ms = None;
-        let mut cache = None;
-        let mut path = None;
-        loop {
-            let key = s.string()?;
-            s.eat(':')?;
-            match key.as_str() {
-                "shard" => shard = Some(s.string()?),
-                "hash" => hash = Some(s.string()?),
-                "wall_ms" => wall_ms = Some(s.integer()?),
-                "cache" => cache = Some(s.string()?),
-                "path" => path = Some(s.string()?),
-                _ => return None,
-            }
-            match s.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        if !s.at_end() {
-            return None;
-        }
-        let cache_hit = match cache?.as_str() {
+        let root = parse_flat(line, &["shard", "hash", "wall_ms", "cache", "path"])?;
+        let text = |key: &str| Some(root.get(key)?.as_str()?.to_string());
+        let cache_hit = match root.get("cache")?.as_str()? {
             "hit" => true,
             "miss" => false,
             _ => return None,
         };
         Some(ManifestEntry {
-            shard: shard?,
-            hash: hash?,
-            wall_ms: wall_ms?,
+            shard: text("shard")?,
+            hash: text("hash")?,
+            wall_ms: root.get("wall_ms")?.as_u64()?,
             cache_hit,
-            path: path?,
+            path: text("path")?,
         })
     }
 }
@@ -120,9 +95,9 @@ pub struct FleetNote {
 impl FleetNote {
     /// Render as one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = format!(r#"{{"fleet":{}"#, quote(&self.kind));
+        let mut out = format!(r#"{{"fleet":{}"#, json::string(&self.kind));
         if let Some(shard) = &self.shard {
-            out.push_str(&format!(r#","shard":{}"#, quote(shard)));
+            out.push_str(&format!(r#","shard":{}"#, json::string(shard)));
         }
         if let Some(worker) = self.worker {
             out.push_str(&format!(r#","worker":{worker}"#));
@@ -131,7 +106,7 @@ impl FleetNote {
             out.push_str(&format!(r#","attempt":{attempt}"#));
         }
         if let Some(detail) = &self.detail {
-            out.push_str(&format!(r#","detail":{}"#, quote(detail)));
+            out.push_str(&format!(r#","detail":{}"#, json::string(detail)));
         }
         out.push('}');
         out
@@ -139,41 +114,36 @@ impl FleetNote {
 
     /// Parse one line; `None` for non-fleet or malformed lines.
     pub fn parse_line(line: &str) -> Option<FleetNote> {
-        let mut s = Scanner::new(line.trim());
-        s.eat('{')?;
-        let mut kind = None;
-        let mut shard = None;
-        let mut worker = None;
-        let mut attempt = None;
-        let mut detail = None;
-        loop {
-            let key = s.string()?;
-            s.eat(':')?;
-            match key.as_str() {
-                "fleet" => kind = Some(s.string()?),
-                "shard" => shard = Some(s.string()?),
-                "worker" => worker = Some(s.integer()?),
-                "attempt" => attempt = Some(s.integer()?),
-                "detail" => detail = Some(s.string()?),
-                _ => return None,
-            }
-            match s.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return None,
-            }
-        }
-        if !s.at_end() {
-            return None;
-        }
+        let root = parse_flat(line, &["fleet", "shard", "worker", "attempt", "detail"])?;
+        // An optional key may be absent, but not present with a wrong type.
+        let text = |key: &str| match root.get(key) {
+            None => Some(None),
+            Some(v) => Some(Some(v.as_str()?.to_string())),
+        };
+        let int = |key: &str| match root.get(key) {
+            None => Some(None),
+            Some(v) => Some(Some(v.as_u64()?)),
+        };
         Some(FleetNote {
-            kind: kind?,
-            shard,
-            worker,
-            attempt,
-            detail,
+            kind: root.get("fleet")?.as_str()?.to_string(),
+            shard: text("shard")?,
+            worker: int("worker")?,
+            attempt: int("attempt")?,
+            detail: text("detail")?,
         })
     }
+}
+
+/// Parse one manifest line as an object whose keys all come from
+/// `allowed` — so a shard entry and a fleet note never parse as each
+/// other.
+fn parse_flat<'a>(line: &'a str, allowed: &[&str]) -> Option<json::Value<'a>> {
+    let root = json::parse(line).ok()?;
+    let known = root
+        .as_object()?
+        .iter()
+        .all(|(key, _)| allowed.contains(&key.as_ref()));
+    known.then_some(root)
 }
 
 /// An open manifest, appendable from any worker thread.
@@ -261,105 +231,6 @@ impl Manifest {
     }
 }
 
-/// JSON-quote a string (escapes `"`, `\`, and control characters).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal scanner for the flat string/number objects the manifest
-/// emits.
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(text: &'a str) -> Scanner<'a> {
-        Scanner {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn next_byte(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn eat(&mut self, expected: char) -> Option<()> {
-        (self.next_byte()? == expected as u8).then_some(())
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Some(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + (self.next_byte()? as char).to_digit(16)?;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                b => {
-                    // Re-scan from here as UTF-8: collect continuation bytes.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b)?;
-                    let end = start + len;
-                    let chunk = self.bytes.get(start..end)?;
-                    out.push_str(core::str::from_utf8(chunk).ok()?);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn integer(&mut self) -> Option<u64> {
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-}
-
-/// Byte length of a UTF-8 sequence from its first byte.
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +258,18 @@ mod tests {
             let line = e.to_line();
             assert_eq!(ManifestEntry::parse_line(&line), Some(e), "line: {line}");
         }
+        // Lines written before the shared escaper spelled a newline
+        // `\u000a`; they still load.
+        let legacy = r#"{"shard":"a\u000ab","hash":"00","wall_ms":1,"cache":"hit","path":"p"}"#;
+        assert_eq!(
+            ManifestEntry::parse_line(legacy).map(|e| e.shard),
+            Some("a\nb".to_string())
+        );
+        // A repeated key is damage, not "the last one wins".
+        let line = entry("a", "h1", false).to_line();
+        let dup = line.replacen("{\"shard\":\"a\"", "{\"shard\":\"a\",\"shard\":\"b\"", 1);
+        assert_ne!(dup, line);
+        assert_eq!(ManifestEntry::parse_line(&dup), None, "line: {dup}");
     }
 
     #[test]
@@ -439,6 +322,10 @@ mod tests {
             let line = n.to_line();
             assert_eq!(FleetNote::parse_line(&line), Some(n), "line: {line}");
         }
+        let line = note("requeued").to_line();
+        let dup = line.replacen(",\"worker\":3", ",\"worker\":3,\"worker\":4", 1);
+        assert_ne!(dup, line);
+        assert_eq!(FleetNote::parse_line(&dup), None, "line: {dup}");
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! * [`dist`] — a parametric distribution vocabulary for configs.
 //! * [`stats`] — the estimators behind every reported number: streaming
 //!   moments, percentiles/ECDFs, time-weighted averages.
-//! * [`trace`] — bounded, category-filtered event tracing for debugging
-//!   multi-million-event runs.
 //! * [`wire`] — zero-dependency byte buffers ([`wire::Bytes`],
 //!   [`wire::Writer`], [`wire::Reader`]) backing every protocol codec.
 //! * [`par`] — a std-only scoped worker pool with deterministic per-task
@@ -44,7 +42,6 @@ pub mod rng;
 pub mod runner;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod wire;
 
 pub use check::{check, check_with, CaseResult, Gen};
@@ -54,5 +51,4 @@ pub use rng::Rng;
 pub use runner::{run_to_quiescence, run_until, Handler};
 pub use stats::{Histogram, Samples, Summary, TimeWeighted};
 pub use time::{Duration, Instant};
-pub use trace::{Category, Trace};
 pub use wire::{Bytes, Reader, WireError, Writer};

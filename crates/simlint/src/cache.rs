@@ -16,18 +16,18 @@
 //! wrong shape — degrades silently to a cold run: the cache can slow
 //! simlint down, never wrong it.
 //!
-//! The JSON reader below is deliberately minimal (objects, arrays,
-//! strings, booleans, `null`, and *non-negative integers* — the only
-//! shapes the writer emits) and panic-free: every index is checked,
-//! every surprise returns `None`.
+//! The document is read with the workspace's strict `json` reader; the
+//! schema on top accepts only the shapes the writer emits (integers must
+//! be non-negative and fit `usize`), and every surprise returns `None`.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use json::Value;
+
 use crate::parse::{CallFact, CallKind, FileFacts, FnFact, SiteFact, WaiverDiag, WaiverFact};
-use crate::report::json_string;
 use crate::rules::{Rule, RULES_REVISION};
 
 /// FNV-1a 64-bit over `bytes`.
@@ -76,14 +76,14 @@ pub fn store(path: &Path, entries: &[(String, u64, &FileFacts)]) -> io::Result<(
     }
     let mut out = String::with_capacity(entries.len() * 512);
     out.push_str("{\"fingerprint\": ");
-    out.push_str(&json_string(&fingerprint()));
+    out.push_str(&json::string(&fingerprint()));
     out.push_str(", \"files\": [");
     for (i, (rel, hash, facts)) in entries.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("\n {\"path\": ");
-        out.push_str(&json_string(rel));
+        out.push_str(&json::string(rel));
         out.push_str(&format!(", \"hash\": \"{hash:016x}\", \"facts\": "));
         write_facts(&mut out, facts);
         out.push('}');
@@ -97,7 +97,7 @@ pub fn store(path: &Path, entries: &[(String, u64, &FileFacts)]) -> io::Result<(
 
 fn write_facts(out: &mut String, f: &FileFacts) {
     out.push_str("{\"rel\": ");
-    out.push_str(&json_string(&f.rel));
+    out.push_str(&json::string(&f.rel));
     out.push_str(", \"fns\": [");
     for (i, x) in f.functions.iter().enumerate() {
         if i > 0 {
@@ -106,12 +106,12 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"name\": {}, \"qual\": {}, \"mod\": {}, \"line\": {}, \"end\": {}, \
              \"pub\": {}, \"test\": {}}}",
-            json_string(&x.name),
+            json::string(&x.name),
             match &x.qualifier {
-                Some(q) => json_string(q),
+                Some(q) => json::string(q),
                 None => "null".to_string(),
             },
-            json_string(&x.module),
+            json::string(&x.module),
             x.line,
             x.end_line,
             x.is_pub,
@@ -123,7 +123,7 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         if i > 0 {
             out.push(',');
         }
-        let segs: Vec<String> = x.segs.iter().map(|s| json_string(s)).collect();
+        let segs: Vec<String> = x.segs.iter().map(|s| json::string(s)).collect();
         out.push_str(&format!(
             "{{\"caller\": {}, \"kind\": \"{}\", \"segs\": [{}], \"line\": {}}}",
             x.caller,
@@ -142,8 +142,8 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         }
         out.push_str(&format!(
             "{{\"rule\": {}, \"detail\": {}, \"line\": {}, \"func\": {}, \"test\": {}}}",
-            json_string(x.rule.name()),
-            json_string(&x.detail),
+            json::string(x.rule.name()),
+            json::string(&x.detail),
             x.line,
             match x.func {
                 Some(n) => n.to_string(),
@@ -160,7 +160,7 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"line\": {}, \"rule\": {}, \"standalone\": {}}}",
             x.line,
-            json_string(x.rule.name()),
+            json::string(x.rule.name()),
             x.standalone
         ));
     }
@@ -172,8 +172,8 @@ fn write_facts(out: &mut String, f: &FileFacts) {
         out.push_str(&format!(
             "{{\"line\": {}, \"code\": {}, \"msg\": {}}}",
             x.line,
-            json_string(&x.code),
-            json_string(&x.message)
+            json::string(&x.code),
+            json::string(&x.message)
         ));
     }
     out.push_str("]}");
@@ -182,291 +182,85 @@ fn write_facts(out: &mut String, f: &FileFacts) {
 // ---------------------------------------------------------------------
 // JSON -> Facts
 
-/// The JSON shapes the writer emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-    fn num(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) => usize::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-    fn boolean(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items.as_slice()),
-            _ => None,
-        }
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> Reader<'a> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn lit(&mut self, word: &[u8]) -> bool {
-        if self.b.len() - self.i >= word.len() && &self.b[self.i..self.i + word.len()] == word {
-            self.i += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Option<Json> {
-        if depth > MAX_DEPTH {
-            return None;
-        }
-        self.ws();
-        match self.b.get(self.i)? {
-            b'{' => {
-                self.i += 1;
-                let mut pairs = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Some(Json::Obj(pairs));
-                }
-                loop {
-                    self.eat(b'"')?;
-                    let key = self.string_body()?;
-                    self.eat(b':')?;
-                    let val = self.value(depth + 1)?;
-                    pairs.push((key, val));
-                    self.ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Some(Json::Obj(pairs));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Some(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    match self.b.get(self.i)? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Some(Json::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => {
-                self.i += 1;
-                Some(Json::Str(self.string_body()?))
-            }
-            b't' if self.lit(b"true") => Some(Json::Bool(true)),
-            b'f' if self.lit(b"false") => Some(Json::Bool(false)),
-            b'n' if self.lit(b"null") => Some(Json::Null),
-            b'0'..=b'9' => {
-                let mut n: u64 = 0;
-                while let Some(d @ b'0'..=b'9') = self.b.get(self.i) {
-                    n = n.checked_mul(10)?.checked_add((d - b'0') as u64)?;
-                    self.i += 1;
-                }
-                // Floats/exponents never come from our writer.
-                if matches!(self.b.get(self.i), Some(b'.' | b'e' | b'E')) {
-                    return None;
-                }
-                Some(Json::Num(n))
-            }
-            _ => None,
-        }
-    }
-
-    /// The body of a string whose opening quote is already consumed.
-    fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i)? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.b.get(self.i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.b.get(self.i + 1..self.i + 5)?;
-                            let s = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(s, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.i += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                &c if c < 0x80 => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(self.b.get(self.i..)?).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.i += ch.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Option<Json> {
-    let mut r = Reader {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    let v = r.value(0)?;
-    r.ws();
-    if r.i == r.b.len() {
-        Some(v)
-    } else {
-        None
-    }
+/// A non-negative integer that fits `usize` (line numbers, indices).
+fn num(v: &Value<'_>) -> Option<usize> {
+    usize::try_from(v.as_u64()?).ok()
 }
 
 fn parse_cache(text: &str) -> Option<Cache> {
-    let root = parse_json(text)?;
-    if root.get("fingerprint")?.str()? != fingerprint() {
+    let root = json::parse(text).ok()?;
+    if root.get("fingerprint")?.as_str()? != fingerprint() {
         return None;
     }
     let mut entries = BTreeMap::new();
-    for item in root.get("files")?.arr()? {
-        let rel = item.get("path")?.str()?.to_string();
-        let hash = u64::from_str_radix(item.get("hash")?.str()?, 16).ok()?;
+    for item in root.get("files")?.as_array()? {
+        let rel = item.get("path")?.as_str()?.to_string();
+        let hash = u64::from_str_radix(item.get("hash")?.as_str()?, 16).ok()?;
         let facts = parse_facts(item.get("facts")?)?;
         entries.insert(rel, (hash, facts));
     }
     Some(Cache { entries })
 }
 
-fn parse_facts(v: &Json) -> Option<FileFacts> {
+fn parse_facts(v: &Value<'_>) -> Option<FileFacts> {
     let mut facts = FileFacts {
-        rel: v.get("rel")?.str()?.to_string(),
+        rel: v.get("rel")?.as_str()?.to_string(),
         ..FileFacts::default()
     };
-    for x in v.get("fns")?.arr()? {
+    for x in v.get("fns")?.as_array()? {
         facts.functions.push(FnFact {
-            name: x.get("name")?.str()?.to_string(),
+            name: x.get("name")?.as_str()?.to_string(),
             qualifier: match x.get("qual")? {
-                Json::Null => None,
-                other => Some(other.str()?.to_string()),
+                Value::Null => None,
+                other => Some(other.as_str()?.to_string()),
             },
-            module: x.get("mod")?.str()?.to_string(),
-            line: x.get("line")?.num()?,
-            end_line: x.get("end")?.num()?,
-            is_pub: x.get("pub")?.boolean()?,
-            test: x.get("test")?.boolean()?,
+            module: x.get("mod")?.as_str()?.to_string(),
+            line: num(x.get("line")?)?,
+            end_line: num(x.get("end")?)?,
+            is_pub: x.get("pub")?.as_bool()?,
+            test: x.get("test")?.as_bool()?,
         });
     }
-    for x in v.get("calls")?.arr()? {
+    for x in v.get("calls")?.as_array()? {
         let mut segs = Vec::new();
-        for s in x.get("segs")?.arr()? {
-            segs.push(s.str()?.to_string());
+        for s in x.get("segs")?.as_array()? {
+            segs.push(s.as_str()?.to_string());
         }
         facts.calls.push(CallFact {
-            caller: x.get("caller")?.num()?,
-            kind: match x.get("kind")?.str()? {
+            caller: num(x.get("caller")?)?,
+            kind: match x.get("kind")?.as_str()? {
                 "m" => CallKind::Method,
                 "p" => CallKind::Path,
                 _ => return None,
             },
             segs,
-            line: x.get("line")?.num()?,
+            line: num(x.get("line")?)?,
         });
     }
-    for x in v.get("sites")?.arr()? {
+    for x in v.get("sites")?.as_array()? {
         facts.sites.push(SiteFact {
-            rule: Rule::from_name(x.get("rule")?.str()?)?,
-            detail: x.get("detail")?.str()?.to_string(),
-            line: x.get("line")?.num()?,
+            rule: Rule::from_name(x.get("rule")?.as_str()?)?,
+            detail: x.get("detail")?.as_str()?.to_string(),
+            line: num(x.get("line")?)?,
             func: match x.get("func")? {
-                Json::Null => None,
-                other => Some(other.num()?),
+                Value::Null => None,
+                other => Some(num(other)?),
             },
-            test: x.get("test")?.boolean()?,
+            test: x.get("test")?.as_bool()?,
         });
     }
-    for x in v.get("waivers")?.arr()? {
+    for x in v.get("waivers")?.as_array()? {
         facts.waivers.push(WaiverFact {
-            line: x.get("line")?.num()?,
-            rule: Rule::from_name(x.get("rule")?.str()?)?,
-            standalone: x.get("standalone")?.boolean()?,
+            line: num(x.get("line")?)?,
+            rule: Rule::from_name(x.get("rule")?.as_str()?)?,
+            standalone: x.get("standalone")?.as_bool()?,
         });
     }
-    for x in v.get("diags")?.arr()? {
+    for x in v.get("diags")?.as_array()? {
         facts.waiver_diags.push(WaiverDiag {
-            line: x.get("line")?.num()?,
-            code: x.get("code")?.str()?.to_string(),
-            message: x.get("msg")?.str()?.to_string(),
+            line: num(x.get("line")?)?,
+            code: x.get("code")?.as_str()?.to_string(),
+            message: x.get("msg")?.as_str()?.to_string(),
         });
     }
     Some(facts)
@@ -538,19 +332,53 @@ mod tests {
     }
 
     #[test]
-    fn mini_json_rejects_trailing_garbage_and_floats() {
-        assert!(parse_json("{\"a\": 1} extra").is_none());
-        assert!(parse_json("{\"a\": 1.5}").is_none());
-        assert!(parse_json("{\"a\": -1}").is_none());
+    fn cache_documents_reject_trailing_garbage_and_non_integers() {
+        // The facts carry every literal the writer emits: `true`/`false`
+        // for `pub`/`test`, `null` for an absent qualifier or function.
+        let src = "pub fn a() { b(); }\nfn b() -> u8 { None::<u8>.unwrap() }\n";
+        let facts = extract("crates/spider-core/src/y.rs", src);
+        let hash = fnv1a64(src.as_bytes());
+        let dir = std::env::temp_dir().join(format!("simlint-cache-strict-{}", std::process::id()));
+        let path = dir.join("cache.json");
+        store(
+            &path,
+            &[("crates/spider-core/src/y.rs".to_string(), hash, &facts)],
+        )
+        .unwrap();
+        let good = std::fs::read_to_string(&path).unwrap();
+        for literal in ["true", "false", "null"] {
+            assert!(good.contains(literal), "{literal} missing from {good}");
+        }
+        let load = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            Cache::load(&path)
+        };
         assert_eq!(
-            parse_json("[true, false, null, 7, \"x\\u0041\"]"),
-            Some(Json::Arr(vec![
-                Json::Bool(true),
-                Json::Bool(false),
-                Json::Null,
-                Json::Num(7),
-                Json::Str("xA".to_string()),
-            ]))
+            load(&good).lookup("crates/spider-core/src/y.rs", hash),
+            Some(&facts)
         );
+        // A `\u0041`-style escape decodes: the key is the unescaped path.
+        let escaped = good.replacen(
+            "\"path\": \"crates/spider-core/src/y.rs\"",
+            "\"path\": \"crates/spider-core/src/\\u0079.rs\"",
+            1,
+        );
+        assert_ne!(escaped, good);
+        assert_eq!(
+            load(&escaped).lookup("crates/spider-core/src/y.rs", hash),
+            Some(&facts)
+        );
+        // Trailing garbage, and a float or negative number where an
+        // integer is expected, each degrade to a cold run.
+        let line = good.find("\"line\": ").unwrap() + "\"line\": ".len();
+        let digits = good[line..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        for bad in [
+            format!("{good} extra"),
+            format!("{}1.5{}", &good[..line], &good[line + digits..]),
+            format!("{}-1{}", &good[..line], &good[line + digits..]),
+        ] {
+            assert!(load(&bad).entries.is_empty(), "accepted: {bad}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

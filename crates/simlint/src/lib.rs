@@ -35,7 +35,8 @@
 //! effectiveness); the exit code is 0 clean / 1 violations / 2 usage or
 //! IO error. `ci.sh` runs it as the first gate, before the build.
 //!
-//! The implementation is deliberately zero-dependency: a hand-rolled
+//! The implementation has no registry dependencies (its one dependency
+//! is the in-tree `json` crate, which reads the fact cache): a hand-rolled
 //! lexer ([`lexer`]) that understands raw strings, char literals vs
 //! lifetimes, and nested block comments; a lightweight item parser
 //! ([`parse`]) that recognizes `fn`/`impl`/`trait`/`mod` items, call

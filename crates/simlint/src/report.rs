@@ -1,7 +1,7 @@
 //! The machine-readable summary written to `target/SIMLINT.json`.
 //!
-//! Hand-rolled JSON (the workspace is registry-free); the schema is
-//! small and stable:
+//! Written in a fixed layout with strings escaped by the workspace's
+//! `json` crate; the schema is small and stable:
 //!
 //! ```json
 //! {
@@ -82,10 +82,10 @@ pub fn json_summary(summary: &Summary) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            json_string(&v.file),
+            json::string(&v.file),
             v.line,
-            json_string(&v.code),
-            json_string(&v.message)
+            json::string(&v.code),
+            json::string(&v.message)
         ));
     }
     if !summary.violations.is_empty() {
@@ -113,10 +113,10 @@ pub fn json_summary(summary: &Summary) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"function\": {}, \"file\": {}, \"line\": {}, \"witness\": {}, \"waived\": {}}}",
-            json_string(&e.function),
-            json_string(&e.file),
+            json::string(&e.function),
+            json::string(&e.file),
             e.line,
-            json_string(&e.witness),
+            json::string(&e.witness),
             e.waived
         ));
     }
@@ -124,25 +124,6 @@ pub fn json_summary(summary: &Summary) -> String {
         out.push_str("\n  ");
     }
     out.push_str("]}\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -173,6 +173,9 @@ pub const SIM_CRATES: &[&str] = &[
     "workload",
     "analytical",
     "spider-core",
+    // The strict JSON reader sits on the `RunRecord` byte path: every
+    // cache hit is reconstructed through it.
+    "json",
 ];
 
 /// Non-sim crates with an explicit tier. The union of this list and
@@ -733,6 +736,7 @@ mod tests {
     fn geo_is_sim_tier() {
         assert_eq!(tier_of("crates/geo/src/grid.rs"), Tier::Sim);
         assert_eq!(tier_of("crates/geo/src/lib.rs"), Tier::Sim);
+        assert_eq!(tier_of("crates/json/src/lib.rs"), Tier::Sim);
         // Spatial queries feed simulation state, so the full determinism
         // tier applies: no hash maps, no wall clocks, no panic paths.
         let hash = "use std::collections::HashMap;\n";

@@ -3,10 +3,11 @@
 //! [`RunResult`] holds raw sample sets; a
 //! [`Report`] flattens it into the summary numbers the experiments print.
 //! Serialization is fully in-tree: [`Report::to_json`] emits a stable
-//! flat object and [`Report::from_json`] reads it back, so downstream
-//! tooling can consume run output without any external JSON crate.
+//! flat object and [`Report::from_json`] reads it back through the
+//! workspace's strict `json` reader, so downstream tooling can consume
+//! run output without any external JSON crate.
 //!
-//! Two serialization fidelities share one parser:
+//! Two serialization fidelities share that reader:
 //!
 //! * [`Report`] — the flattened *summary* (quantiles only), rounded to six
 //!   decimals for stable, diff-friendly artifact files.
@@ -15,6 +16,7 @@
 //!   its record is bit-identical to the original and regenerates every
 //!   figure byte-for-byte. This is what the campaign cache stores.
 
+use json::Value;
 use sim_engine::stats::Samples;
 use sim_engine::time::Duration;
 
@@ -163,57 +165,78 @@ impl Report {
     /// variants of the same flat schema also load. Unknown keys are
     /// ignored; a missing key is an error.
     pub fn from_json(json: &str) -> Result<Report, ReportParseError> {
-        let mut p = Parser::new(json);
-        let fields = p.object()?;
-        p.end()?;
-        let num = |key: &'static str| -> Result<f64, ReportParseError> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Number(v))) => Ok(*v),
-                Some((_, JsonValue::Int(v))) => Ok(*v as f64),
-                Some(_) => Err(ReportParseError::WrongType(key)),
-                None => Err(ReportParseError::MissingKey(key)),
-            }
-        };
+        let root = parse_object(json)?;
         let quantiles = |key: &'static str| -> Result<Quantiles, ReportParseError> {
-            let inner = match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Object(fields))) => fields,
-                Some(_) => return Err(ReportParseError::WrongType(key)),
-                None => return Err(ReportParseError::MissingKey(key)),
-            };
-            let inner_num = |k: &'static str| match inner.iter().find(|(ik, _)| ik == k) {
-                Some((_, JsonValue::Number(v))) => Ok(*v),
-                Some((_, JsonValue::Int(v))) => Ok(*v as f64),
-                Some(_) => Err(ReportParseError::WrongType(k)),
-                None => Err(ReportParseError::MissingKey(k)),
-            };
+            let inner = field(&root, key)?;
+            if inner.as_object().is_none() {
+                return Err(ReportParseError::WrongType(key));
+            }
             Ok(Quantiles {
-                n: inner_num("n")? as usize,
-                p10: inner_num("p10")?,
-                p50: inner_num("p50")?,
-                p90: inner_num("p90")?,
-                max: inner_num("max")?,
+                n: uint(inner, "n")? as usize,
+                p10: num(inner, "p10")?,
+                p50: num(inner, "p50")?,
+                p90: num(inner, "p90")?,
+                max: num(inner, "max")?,
             })
         };
         Ok(Report {
-            duration_secs: num("duration_secs")?,
-            total_bytes: num("total_bytes")? as u64,
-            avg_throughput_kbps: num("avg_throughput_kbps")?,
-            connectivity: num("connectivity")?,
-            joins: num("joins")? as usize,
-            assoc_attempts: num("assoc_attempts")? as u64,
-            assoc_failures: num("assoc_failures")? as u64,
-            dhcp_attempts: num("dhcp_attempts")? as u64,
-            dhcp_failures: num("dhcp_failures")? as u64,
-            switch_count: num("switch_count")? as u64,
-            max_concurrent_aps: num("max_concurrent_aps")? as usize,
-            tcp_rtos: num("tcp_rtos")? as u64,
+            duration_secs: num(&root, "duration_secs")?,
+            total_bytes: uint(&root, "total_bytes")?,
+            avg_throughput_kbps: num(&root, "avg_throughput_kbps")?,
+            connectivity: num(&root, "connectivity")?,
+            joins: uint(&root, "joins")? as usize,
+            assoc_attempts: uint(&root, "assoc_attempts")?,
+            assoc_failures: uint(&root, "assoc_failures")?,
+            dhcp_attempts: uint(&root, "dhcp_attempts")?,
+            dhcp_failures: uint(&root, "dhcp_failures")?,
+            switch_count: uint(&root, "switch_count")?,
+            max_concurrent_aps: uint(&root, "max_concurrent_aps")? as usize,
+            tcp_rtos: uint(&root, "tcp_rtos")?,
             join_times_s: quantiles("join_times_s")?,
             connections_s: quantiles("connections_s")?,
             disruptions_s: quantiles("disruptions_s")?,
             instantaneous_bps: quantiles("instantaneous_bps")?,
-            per_client: per_client_field(&fields)?,
+            per_client: per_client_field(&root)?,
         })
     }
+}
+
+/// Parse `text` with the shared reader and require an object root.
+fn parse_object(text: &str) -> Result<Value<'_>, ReportParseError> {
+    let root = json::parse(text).map_err(|e| match e.kind {
+        json::ErrorKind::NonFinite => ReportParseError::NonFinite,
+        kind => ReportParseError::Malformed(kind.message()),
+    })?;
+    if root.as_object().is_none() {
+        return Err(ReportParseError::Malformed("expected an object"));
+    }
+    Ok(root)
+}
+
+fn field<'v, 'a>(obj: &'v Value<'a>, key: &'static str) -> Result<&'v Value<'a>, ReportParseError> {
+    obj.get(key).ok_or(ReportParseError::MissingKey(key))
+}
+
+fn num(obj: &Value<'_>, key: &'static str) -> Result<f64, ReportParseError> {
+    field(obj, key)?
+        .as_f64()
+        .ok_or(ReportParseError::WrongType(key))
+}
+
+/// A counter, read exactly — `as f64` would round above 2^53.
+fn uint(obj: &Value<'_>, key: &'static str) -> Result<u64, ReportParseError> {
+    field(obj, key)?
+        .as_u64()
+        .ok_or(ReportParseError::WrongType(key))
+}
+
+fn array<'v, 'a>(
+    obj: &'v Value<'a>,
+    key: &'static str,
+) -> Result<&'v [Value<'a>], ReportParseError> {
+    field(obj, key)?
+        .as_array()
+        .ok_or(ReportParseError::WrongType(key))
 }
 
 /// Serialize `per_client` as an object keyed by decimal client slot —
@@ -236,35 +259,36 @@ fn push_per_client(out: &mut String, per_client: &[ClientCounters]) {
 
 /// Read the optional `per_client` object. Absent key — a record written
 /// before the fleet subsystem — parses as an empty vector; counters come
-/// back u64-exact via the [`JsonValue::Int`] path.
-fn per_client_field(
-    fields: &[(String, JsonValue)],
-) -> Result<Vec<ClientCounters>, ReportParseError> {
-    let outer = match fields.iter().find(|(k, _)| k == "per_client") {
-        Some((_, JsonValue::Object(inner))) => inner,
-        Some(_) => return Err(ReportParseError::WrongType("per_client")),
-        None => return Ok(Vec::new()),
+/// back u64-exact. Slots are canonical decimals (no sign, no leading
+/// zero), so the reader's unique keys make every slot appear once.
+fn per_client_field(root: &Value<'_>) -> Result<Vec<ClientCounters>, ReportParseError> {
+    let Some(outer) = root.get("per_client") else {
+        return Ok(Vec::new());
     };
+    let outer = outer
+        .as_object()
+        .ok_or(ReportParseError::WrongType("per_client"))?;
     let mut out = vec![ClientCounters::default(); outer.len()];
-    for (slot, value) in outer {
-        let idx: usize = slot
-            .parse()
-            .map_err(|_| ReportParseError::Malformed("per_client slot is not an index"))?;
+    for (slot, counters) in outer {
+        let canonical =
+            slot.bytes().all(|b| b.is_ascii_digit()) && (slot == "0" || !slot.starts_with('0'));
+        let idx: usize =
+            slot.parse()
+                .ok()
+                .filter(|_| canonical)
+                .ok_or(ReportParseError::Malformed(
+                    "per_client slot is not an index",
+                ))?;
         let entry = out
             .get_mut(idx)
             .ok_or(ReportParseError::Malformed("per_client slot out of range"))?;
-        let JsonValue::Object(counters) = value else {
+        if counters.as_object().is_none() {
             return Err(ReportParseError::WrongType("per_client"));
-        };
-        let uint = |key: &'static str| match counters.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::Int(v))) => Ok(*v),
-            Some(_) => Err(ReportParseError::WrongType(key)),
-            None => Err(ReportParseError::MissingKey(key)),
-        };
+        }
         *entry = ClientCounters {
-            joins: uint("joins")?,
-            bytes: uint("bytes")?,
-            cell_crossings: uint("cell_crossings")?,
+            joins: uint(counters, "joins")?,
+            bytes: uint(counters, "bytes")?,
+            cell_crossings: uint(counters, "cell_crossings")?,
         };
     }
     Ok(out)
@@ -381,66 +405,47 @@ impl RunRecord {
 
     /// Reconstruct a [`RunResult`] from [`RunRecord::to_json`] output.
     pub fn from_json(json: &str) -> Result<RunResult, ReportParseError> {
-        let mut p = Parser::new(json);
-        let fields = p.object()?;
-        p.end()?;
-        let num = |key: &'static str| -> Result<f64, ReportParseError> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Number(v))) => Ok(*v),
-                Some((_, JsonValue::Int(v))) => Ok(*v as f64),
-                Some(_) => Err(ReportParseError::WrongType(key)),
-                None => Err(ReportParseError::MissingKey(key)),
-            }
-        };
-        // Counters must come back exact — `as f64` rounds above 2^53.
-        let uint = |key: &'static str| -> Result<u64, ReportParseError> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Int(v))) => Ok(*v),
-                Some(_) => Err(ReportParseError::WrongType(key)),
-                None => Err(ReportParseError::MissingKey(key)),
-            }
-        };
-        let array = |key: &'static str| -> Result<&Vec<f64>, ReportParseError> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Array(v))) => Ok(v),
-                Some(_) => Err(ReportParseError::WrongType(key)),
-                None => Err(ReportParseError::MissingKey(key)),
-            }
-        };
+        let root = parse_object(json)?;
         let samples = |key: &'static str| -> Result<Samples, ReportParseError> {
             let mut s = Samples::new();
-            for &v in array(key)? {
-                s.record(v);
+            for v in array(&root, key)? {
+                s.record(v.as_f64().ok_or(ReportParseError::WrongType(key))?);
             }
             Ok(s)
         };
-        if uint("v")? != RUN_RECORD_VERSION {
+        if uint(&root, "v")? != RUN_RECORD_VERSION {
             return Err(ReportParseError::Malformed("unsupported record version"));
         }
         Ok(RunResult {
-            duration: Duration::from_nanos(uint("duration_ns")?),
-            total_bytes: uint("total_bytes")?,
-            avg_throughput_bps: num("avg_throughput_bps")?,
-            connectivity: num("connectivity")?,
+            duration: Duration::from_nanos(uint(&root, "duration_ns")?),
+            total_bytes: uint(&root, "total_bytes")?,
+            avg_throughput_bps: num(&root, "avg_throughput_bps")?,
+            connectivity: num(&root, "connectivity")?,
             connection_durations: samples("connection_durations")?,
             disruption_durations: samples("disruption_durations")?,
             instantaneous_bandwidth: samples("instantaneous_bandwidth")?,
             assoc_times: samples("assoc_times")?,
             join_times: samples("join_times")?,
             switch_latencies: samples("switch_latencies")?,
-            dhcp_attempts: uint("dhcp_attempts")?,
-            dhcp_failures: uint("dhcp_failures")?,
-            assoc_attempts: uint("assoc_attempts")?,
-            assoc_failures: uint("assoc_failures")?,
-            switch_count: uint("switch_count")?,
-            max_concurrent_aps: uint("max_concurrent_aps")? as usize,
-            concurrency_seconds: array("concurrency_seconds")?.clone(),
-            tcp_rtos: uint("tcp_rtos")?,
-            backhaul_drops: uint("backhaul_drops")?,
-            psm_drops: uint("psm_drops")?,
-            unassociated_drops: uint("unassociated_drops")?,
-            air_drops: uint("air_drops")?,
-            per_client: per_client_field(&fields)?,
+            dhcp_attempts: uint(&root, "dhcp_attempts")?,
+            dhcp_failures: uint(&root, "dhcp_failures")?,
+            assoc_attempts: uint(&root, "assoc_attempts")?,
+            assoc_failures: uint(&root, "assoc_failures")?,
+            switch_count: uint(&root, "switch_count")?,
+            max_concurrent_aps: uint(&root, "max_concurrent_aps")? as usize,
+            concurrency_seconds: array(&root, "concurrency_seconds")?
+                .iter()
+                .map(|v| {
+                    v.as_f64()
+                        .ok_or(ReportParseError::WrongType("concurrency_seconds"))
+                })
+                .collect::<Result<_, _>>()?,
+            tcp_rtos: uint(&root, "tcp_rtos")?,
+            backhaul_drops: uint(&root, "backhaul_drops")?,
+            psm_drops: uint(&root, "psm_drops")?,
+            unassociated_drops: uint(&root, "unassociated_drops")?,
+            air_drops: uint(&root, "air_drops")?,
+            per_client: per_client_field(&root)?,
         })
     }
 }
@@ -465,171 +470,6 @@ fn push_array(out: &mut String, values: &[f64], field: &'static str) -> Result<(
     }
     out.push(']');
     Ok(())
-}
-
-/// A value in the report schema: numbers at the leaves, one level of
-/// nesting for the quantile summaries, and flat numeric arrays for the
-/// full-fidelity sample sets of a [`RunRecord`]. This is all the two
-/// writers ever emit, so the parser does not model strings or booleans.
-enum JsonValue {
-    Number(f64),
-    /// A pure digit-run token that fits `u64`, kept exact: counters like
-    /// `total_bytes` exceed 2^53 in long campaigns, where the `f64` path
-    /// would silently round.
-    Int(u64),
-    Object(Vec<(String, JsonValue)>),
-    Array(Vec<f64>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, byte: u8, what: &'static str) -> Result<(), ReportParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ReportParseError::Malformed(what))
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, JsonValue)>, ReportParseError> {
-        self.expect_byte(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(fields);
-        }
-        loop {
-            let key = self.key()?;
-            self.expect_byte(b':', "expected ':' after key")?;
-            let value = match self.peek() {
-                Some(b'{') => JsonValue::Object(self.object()?),
-                Some(b'[') => JsonValue::Array(self.array()?),
-                _ => self.scalar()?,
-            };
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(ReportParseError::Malformed("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn key(&mut self) -> Result<String, ReportParseError> {
-        self.expect_byte(b'"', "expected '\"' to open key")?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let key = core::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| ReportParseError::Malformed("key is not UTF-8"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(key);
-            }
-            if b == b'\\' {
-                // `to_json` keys are plain identifiers; escapes are out of
-                // schema.
-                return Err(ReportParseError::Malformed("escape in key"));
-            }
-            self.pos += 1;
-        }
-        Err(ReportParseError::Malformed("unterminated key"))
-    }
-
-    fn array(&mut self) -> Result<Vec<f64>, ReportParseError> {
-        self.expect_byte(b'[', "expected '['")?;
-        let mut values = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(values);
-        }
-        loop {
-            values.push(self.number()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(values);
-                }
-                _ => return Err(ReportParseError::Malformed("expected ',' or ']'")),
-            }
-        }
-    }
-
-    /// One scalar value: an exact [`JsonValue::Int`] when the token is a
-    /// pure digit run in `u64` range, a float otherwise.
-    fn scalar(&mut self) -> Result<JsonValue, ReportParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        let value = self.number()?;
-        let token = &self.bytes[start..self.pos];
-        if token.iter().all(|b| b.is_ascii_digit()) {
-            // All-ASCII-digit tokens are valid UTF-8 by construction.
-            if let Some(i) = core::str::from_utf8(token)
-                .ok()
-                .and_then(|t| t.parse::<u64>().ok())
-            {
-                return Ok(JsonValue::Int(i));
-            }
-        }
-        Ok(JsonValue::Number(value))
-    }
-
-    fn number(&mut self) -> Result<f64, ReportParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let value = core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or(ReportParseError::Malformed("expected a number"))?;
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            // The token itself was numeric (e.g. `1e999`) but overflows to
-            // infinity — corrupt input, distinct from a syntax error.
-            Err(ReportParseError::NonFinite)
-        }
-    }
-
-    fn end(&mut self) -> Result<(), ReportParseError> {
-        if self.peek().is_none() {
-            Ok(())
-        } else {
-            Err(ReportParseError::Malformed("trailing characters"))
-        }
-    }
 }
 
 /// JSON-safe float formatting (no NaN/inf; finite shortest-ish form).
@@ -740,6 +580,12 @@ mod tests {
             Err(ReportParseError::MissingKey(_))
         ));
         let truncated = Report::from_run(&sample_run()).to_json();
+        let duplicated =
+            truncated.replacen("{\"duration_secs\":", "{\"joins\":0,\"duration_secs\":", 1);
+        assert_eq!(
+            Report::from_json(&duplicated),
+            Err(ReportParseError::Malformed("duplicate object key"))
+        );
         let truncated = &truncated[..truncated.len() - 2];
         assert!(Report::from_json(truncated).is_err());
     }
@@ -837,6 +683,14 @@ mod tests {
         let report_json = Report::from_run(&result).to_json();
         let parsed = Report::from_json(&report_json).expect("parse");
         assert_eq!(parsed.per_client, result.per_client);
+        // The summary's own counters are exact too: 2^53 + 1 has no f64.
+        result.total_bytes = 9_007_199_254_740_993;
+        result.tcp_rtos = u64::MAX;
+        let report_json = Report::from_run(&result).to_json();
+        let parsed = Report::from_json(&report_json).expect("parse");
+        assert_eq!(parsed.total_bytes, 9_007_199_254_740_993);
+        assert_eq!(parsed.tcp_rtos, u64::MAX);
+        assert_eq!(parsed.to_json(), report_json);
     }
 
     #[test]
@@ -872,6 +726,23 @@ mod tests {
             RunRecord::from_json(&bad_type),
             Err(ReportParseError::Malformed(_))
         ));
+        // A repeated slot used to parse as two clients, the second all
+        // zero; a non-canonical spelling of a slot is the same mistake.
+        let zero = "{\"joins\":0,\"bytes\":0,\"cell_crossings\":0}";
+        for slots in [
+            format!("\"per_client\":{{\"0\":{zero},\"0\":"),
+            format!("\"per_client\":{{\"00\":{zero},\"0\":"),
+            format!("\"per_client\":{{\"+0\":{zero},\"1\":"),
+        ] {
+            let dup = json.replacen("\"per_client\":{\"0\":", &slots, 1);
+            assert!(
+                matches!(
+                    RunRecord::from_json(&dup),
+                    Err(ReportParseError::Malformed(_))
+                ),
+                "{slots}"
+            );
+        }
     }
 
     #[test]

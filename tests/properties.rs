@@ -507,6 +507,160 @@ fn serialized_reports_reject_nonfinite_mutations() {
     });
 }
 
+// ------------------------------------------- JSON decoders under mutation
+
+/// Apply one to three seeded byte mutations to `text`: flip one of an
+/// ASCII byte's low seven bits, insert a byte (JSON punctuation, digits,
+/// or any ASCII), or delete a byte. The decoders take `&str`, so bytes
+/// that stop being UTF-8 are replaced, as a lossy file read would.
+fn mutate(g: &mut Gen, text: &str) -> String {
+    const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \\tfnul";
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..g.usize_in(1, 3) {
+        let at = g.usize_in(0, bytes.len());
+        match g.usize_in(0, 2) {
+            0 if at < bytes.len() => bytes[at] ^= 1 << g.usize_in(0, 6),
+            1 => {
+                let b = if g.bool() {
+                    ALPHABET[g.usize_in(0, ALPHABET.len() - 1)]
+                } else {
+                    g.u8() & 0x7f
+                };
+                bytes.insert(at, b);
+            }
+            _ if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The mutation property shared by every JSON decoder: a mutated input
+/// is rejected, or what it decodes to re-serializes to a fixpoint —
+/// decoding that serialization and serializing again gives the same
+/// bytes. (Byte identity with the mutant itself cannot hold: whitespace
+/// and `1.50` for `1.5` are valid JSON the writers never emit.) Panics
+/// fail the case.
+fn rejected_or_fixpoint<T>(
+    mutant: &str,
+    decode: impl Fn(&str) -> Option<T>,
+    encode: impl Fn(&T) -> String,
+) -> Result<(), String> {
+    let Some(value) = decode(mutant) else {
+        return Ok(());
+    };
+    let once = encode(&value);
+    let again = decode(&once).ok_or_else(|| format!("accepted {mutant:?}, but not {once:?}"))?;
+    prop_assert_eq!(encode(&again), once);
+    Ok(())
+}
+
+fn gen_label(g: &mut Gen) -> String {
+    const CHARS: &[char] = &[
+        'a', 'Z', '7', ' ', '"', '\\', '\n', '\t', '\u{1}', 'é', '—', '😀',
+    ];
+    g.vec(0, 12, |g| CHARS[g.usize_in(0, CHARS.len() - 1)])
+        .into_iter()
+        .collect()
+}
+
+#[test]
+fn run_record_decoder_survives_byte_mutation() {
+    use spider_repro::spider::RunRecord;
+    check("run_record_decoder_survives_byte_mutation", |g| {
+        let json = RunRecord::to_json(&gen_run_result(g)).unwrap();
+        rejected_or_fixpoint(
+            &mutate(g, &json),
+            |s| RunRecord::from_json(s).ok(),
+            |r| RunRecord::to_json(r).unwrap(),
+        )
+    });
+}
+
+#[test]
+fn report_decoder_survives_byte_mutation() {
+    use spider_repro::spider::Report;
+    check("report_decoder_survives_byte_mutation", |g| {
+        let json = Report::from_run(&gen_run_result(g)).to_json();
+        rejected_or_fixpoint(
+            &mutate(g, &json),
+            |s| Report::from_json(s).ok(),
+            Report::to_json,
+        )
+    });
+}
+
+#[test]
+fn manifest_lines_survive_byte_mutation() {
+    use spider_repro::campaign::manifest::{FleetNote, ManifestEntry};
+    check("manifest_lines_survive_byte_mutation", |g| {
+        let entry = ManifestEntry {
+            shard: gen_label(g),
+            hash: format!("{:016x}", g.u64()),
+            wall_ms: g.u64(),
+            cache_hit: g.bool(),
+            path: gen_label(g),
+        };
+        rejected_or_fixpoint(
+            &mutate(g, &entry.to_line()),
+            ManifestEntry::parse_line,
+            ManifestEntry::to_line,
+        )?;
+        let note = FleetNote {
+            kind: gen_label(g),
+            shard: g.option(gen_label),
+            worker: g.option(|g| g.u64()),
+            attempt: g.option(|g| g.u64()),
+            detail: g.option(gen_label),
+        };
+        rejected_or_fixpoint(
+            &mutate(g, &note.to_line()),
+            FleetNote::parse_line,
+            FleetNote::to_line,
+        )
+    });
+}
+
+#[test]
+fn bench_baseline_decoder_survives_byte_mutation() {
+    use bench::baseline::{Baseline, BaselineBench};
+    // The baseline schema is written by the bench harness; this writer
+    // emits the fields the reader keeps, in the harness's layout.
+    fn encode(b: &Baseline) -> String {
+        let benches: Vec<String> = b
+            .benches
+            .iter()
+            .map(|x| {
+                let samples: Vec<String> = x.samples_ns.iter().map(f64::to_string).collect();
+                format!(
+                    "{{\"name\":{},\"samples_ns\":[{}]}}",
+                    json::string(&x.name),
+                    samples.join(",")
+                )
+            })
+            .collect();
+        format!(
+            "{{\"target\":{},\"budget_ms\":300,\"benches\":[{}]}}\n",
+            json::string(&b.target),
+            benches.join(",")
+        )
+    }
+    check("bench_baseline_decoder_survives_byte_mutation", |g| {
+        let baseline = Baseline {
+            target: gen_label(g),
+            benches: g.vec(1, 3, |g| BaselineBench {
+                name: gen_label(g),
+                samples_ns: g.vec(1, 6, |g| g.f64_in(1.0, 1e9)),
+            }),
+        };
+        let json = encode(&baseline);
+        prop_assert_eq!(Baseline::from_json(&json), Ok(baseline));
+        rejected_or_fixpoint(&mutate(g, &json), |s| Baseline::from_json(s).ok(), encode)
+    });
+}
+
 // ------------------------------------------------- protocol state machines
 
 /// The DHCP client survives arbitrary (well-formed) message storms without
