@@ -52,6 +52,19 @@ cargo build --release --offline --workspace --all-targets
 step "cargo test --offline"
 cargo test -q --offline --workspace
 
+step "golden output (experiments all --no-cache vs experiments_output.txt)"
+# Every table and figure at the committed defaults, run uncached, must
+# print exactly the committed golden file. A change that moves any
+# number regenerates the file with the same command and says why in
+# CHANGES.md; there is no bless flag.
+./target/release/experiments all --no-cache >target/experiments_all.out 2>/dev/null
+if ! cmp -s target/experiments_all.out experiments_output.txt; then
+    echo "error: experiments all --no-cache differs from experiments_output.txt" >&2
+    diff experiments_output.txt target/experiments_all.out | head -40 >&2 || true
+    exit 1
+fi
+echo "ok: experiments all --no-cache stdout byte-identical to experiments_output.txt"
+
 step "campaign cache smoke test (fig5 twice, second run must be all hits)"
 smoke_dir=$(mktemp -d target/campaign-smoke.XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -265,7 +278,7 @@ step "bench des_fleet (one fleet world vs N-times replication, verdict greped)"
 # subsystem. Same grep-the-verdict contract as des_metro: bench_pair
 # verdicts never feed the exit code, and the gate demotes to a report
 # when the machine failed its self-check. The 1→64 scaling sweep lands
-# per-client wall-clock in the trajectory artifact either way.
+# wall-clock ns per delivered event in the trajectory artifact either way.
 rc=0
 "$BENCH" des_fleet --budget-ms 1000 \
     --json "$PWD/target/BENCH_fleet.json" \

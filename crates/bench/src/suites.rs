@@ -279,16 +279,6 @@ fn fig5_world() -> WorldConfig {
     bench_vehicular(11, spider, 60)
 }
 
-/// Events/sec of the pre-rework engine (commit before the slot-queue +
-/// interning change) on this scenario: the best of three interleaved
-/// back-to-back runs against that commit's worktree, same batching
-/// harness, same machine as the committed artifact (best-of favors the
-/// baseline, so recorded speedups are conservative). Machine dependent —
-/// override with `SPIDER_BENCH_BASELINE_EPS` after re-measuring locally;
-/// `None` drops the baseline/speedup fields from the artifact rather
-/// than reporting a number from different hardware.
-const RECORDED_MAIN_BASELINE_EPS: Option<f64> = Some(3_050_000.0);
-
 /// The DES hot-path suite: raw engine events/sec on a fig5-scale world,
 /// plus microbenches of the two structures the allocation-free hot path
 /// rests on (the slot-cancelling event queue and the interned MacAddr
@@ -312,18 +302,6 @@ pub fn des_core(h: &mut Harness) {
         h.annotate("events_delivered", format!("{}", probe.events_delivered));
         h.annotate("peak_queue_depth", format!("{}", probe.peak_queue_depth));
         h.annotate("events_per_sec", format!("{eps:.1}"));
-        let baseline = std::env::var("SPIDER_BENCH_BASELINE_EPS")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .or(RECORDED_MAIN_BASELINE_EPS);
-        if let Some(base) = baseline {
-            println!(
-                "des_core: baseline {base:.0} events/sec, speedup {:.2}x",
-                eps / base
-            );
-            h.annotate("baseline_events_per_sec", format!("{base:.1}"));
-            h.annotate("speedup_vs_baseline", format!("{:.3}", eps / base));
-        }
     }
 
     // Steady-state heap churn: a queue holding ~1024 timers where every
@@ -494,8 +472,10 @@ pub fn des_metro(h: &mut Harness) {
 /// the deployment, the AP/beacon timers, and one event queue across all
 /// clients, and endogenous contention bounds total traffic by the shared
 /// medium rather than N times the solo volume, so per-client cost must
-/// come out sublinear. A 1→64-client scaling sweep lands per-client
-/// wall-clock in the trajectory artifact.
+/// come out sublinear. A 1→64-client scaling sweep lands wall-clock ns
+/// per delivered event in the trajectory artifact: dividing wall-clock by
+/// the client count would flatter a crowded world whose per-client
+/// goodput collapses under contention.
 pub fn des_fleet(h: &mut Harness) {
     use spider_core::fleet::convoy;
 
@@ -527,33 +507,37 @@ pub fn des_fleet(h: &mut Harness) {
     );
     h.annotate("fleet_ab_clients", format!("{FLEET_N}"));
 
-    // Scaling sweep: per-client wall-clock as the fleet grows 1 → 64.
-    let mut per_client_ns = Vec::new();
+    // Scaling sweep: wall-clock per delivered event as the fleet grows
+    // 1 → 64.
+    let mut ns_per_event = Vec::new();
     for n in [1usize, 4, 16, 64] {
         let (_, probe) = run_with_diagnostics(fleet_world(n, 15));
         h.bench(&format!("fleet_world_n{n}_15s"), move || {
             run(fleet_world(n, 15)).total_bytes
         });
         if let Some(median_ns) = h.last_median_ns() {
-            let per_client = median_ns / n as f64;
-            per_client_ns.push((n, per_client));
+            let per_event = median_ns / probe.events_delivered as f64;
+            ns_per_event.push((n, per_event));
             h.annotate(
                 &format!("fleet_n{n}_events"),
                 format!("{}", probe.events_delivered),
             );
             h.annotate(
-                &format!("fleet_n{n}_per_client_ns"),
-                format!("{per_client:.0}"),
+                &format!("fleet_n{n}_ns_per_event"),
+                format!("{per_event:.1}"),
             );
         }
     }
-    if let (Some(&(_, solo)), Some(&(n, crowd))) = (per_client_ns.first(), per_client_ns.last()) {
-        let ratio = crowd / solo;
+    if let (Some(&(_, solo)), Some(&(n, crowd))) = (ns_per_event.first(), ns_per_event.last()) {
         println!(
-            "des_fleet: per-client cost at n={n} is {ratio:.2}x the solo world \
-             ({crowd:.0} ns vs {solo:.0} ns per client)"
+            "des_fleet: n={n} costs {crowd:.1} ns per delivered event, \
+             {:.2}x the solo world's {solo:.1} ns",
+            crowd / solo
         );
-        h.annotate("per_client_cost_ratio_n64_vs_n1", format!("{ratio:.3}"));
+        h.annotate(
+            "ns_per_event_ratio_n64_vs_n1",
+            format!("{:.3}", crowd / solo),
+        );
     }
 }
 

@@ -81,10 +81,12 @@ struct Node {
 /// The crate a workspace-relative path belongs to, hyphens normalized.
 fn crate_norm(rel: &str) -> String {
     let parts: Vec<&str> = rel.split('/').collect();
-    let name = if parts.first() == Some(&"crates") && parts.len() >= 2 {
-        parts[1]
-    } else {
-        "spider_repro"
+    let name = match parts.first() {
+        Some(&"crates") if parts.len() >= 2 => parts[1],
+        // Its own package, so bare calls from the root facade never
+        // resolve into it.
+        Some(&"perfbench") => "perfbench",
+        _ => "spider_repro",
     };
     name.replace('-', "_")
 }
@@ -448,6 +450,39 @@ mod tests {
         ]);
         assert!(g.violations.is_empty(), "{:?}", g.violations);
         assert_eq!(g.stats.panic_sources, 0);
+    }
+
+    #[test]
+    fn perfbench_is_neither_a_source_nor_a_bare_call_target() {
+        let g = analyze_srcs(&[
+            (
+                "crates/sim-engine/src/time.rs",
+                "pub fn from_secs_f64(x: f64) -> u64 { x.round() as u64 }\n",
+            ),
+            ("src/lib.rs", "pub fn facade() { helper(); }\n"),
+            (
+                "perfbench/src/measure.rs",
+                "pub struct Rounds;\n\
+                 impl Rounds {\n\
+                     pub fn round(&mut self) { take().expect(\"calibrated\"); }\n\
+                 }\n\
+                 pub fn helper() { geo::rank::pick(0); }\n",
+            ),
+            (
+                "crates/geo/src/rank.rs",
+                "pub fn pick(i: usize) -> u8 { TABLE.get(i).copied().unwrap() }\n",
+            ),
+        ]);
+        // `x.round()` still resolves to `Rounds::round` by name, but a
+        // benchmark-harness expect() is not a panic source; and the root
+        // facade's bare `helper()` is not perfbench's `helper`.
+        let reach: Vec<&Violation> = g
+            .violations
+            .iter()
+            .filter(|v| v.code == "panic-reach")
+            .collect();
+        assert!(reach.is_empty(), "{reach:?}");
+        assert_eq!(g.stats.panic_sources, 1, "only geo's unwrap");
     }
 
     #[test]

@@ -232,6 +232,11 @@ pub fn tier_of(rel_path: &str) -> Tier {
         }
         return Tier::Lib;
     }
+    if parts.first() == Some(&"perfbench") {
+        // The repo benchmark is a standalone harness package (wall-clock
+        // and CPU timing, expect-on-setup), like bench's suites and CLI.
+        return Tier::Bin;
+    }
     // The root facade crate (src/lib.rs).
     Tier::Lib
 }
@@ -716,6 +721,17 @@ mod tests {
         let unwrap = "fn f() { x.unwrap(); }\n";
         assert!(!run("crates/bench/src/timer.rs", unwrap).is_empty());
         assert!(run("crates/bench/src/suites.rs", unwrap).is_empty());
+    }
+
+    #[test]
+    fn perfbench_is_bin_tier() {
+        assert_eq!(tier_of("perfbench/src/main.rs"), Tier::Bin);
+        assert_eq!(tier_of("perfbench/src/calibrate.rs"), Tier::Bin);
+        // The benchmark harness times real work and may expect() on setup.
+        let unwrap = "fn f() { x.expect(\"setup\"); }\n";
+        assert!(run("perfbench/src/measure.rs", unwrap).is_empty());
+        // The root facade is still a library.
+        assert_eq!(tier_of("src/lib.rs"), Tier::Lib);
     }
 
     #[test]

@@ -31,6 +31,26 @@ fn gen_channel(g: &mut Gen) -> Channel {
     Channel::from_number(g.u32_in(1, 15) as u8)
 }
 
+fn gen_frame(g: &mut Gen) -> Frame {
+    let (sta, bssid) = (gen_mac(g), gen_mac(g));
+    let mut f = match g.usize_in(0, 11) {
+        0 => Frame::beacon(bssid, gen_ssid(g), gen_channel(g), g.u64()),
+        1 => Frame::probe_request(sta),
+        2 => Frame::probe_response(bssid, sta, gen_ssid(g), gen_channel(g), g.u64()),
+        3 => Frame::auth_request(sta, bssid),
+        4 => Frame::auth_response(bssid, sta, g.u16()),
+        5 => Frame::assoc_request(sta, bssid, gen_ssid(g)),
+        6 => Frame::assoc_response(bssid, sta, g.u16(), g.u32_in(0, 0x3FFF) as u16),
+        7 => Frame::data_to_ap(sta, bssid, g.bytes(0, 64).into()),
+        8 => Frame::data_from_ap(bssid, sta, g.bytes(0, 64).into()),
+        9 => Frame::psm_enter(sta, bssid),
+        10 => Frame::ps_poll(sta, bssid, g.u32_in(0, 0x3FFF) as u16),
+        _ => Frame::ack(sta),
+    };
+    f.seq = g.u32_in(0, 0x0FFF) as u16;
+    f
+}
+
 #[test]
 fn beacon_frames_roundtrip() {
     check("beacon_frames_roundtrip", |g| {
@@ -95,21 +115,26 @@ fn psm_control_frames_roundtrip() {
 
 // ---------------------------------------------------------------- dhcp
 
+fn gen_dhcp(g: &mut Gen) -> DhcpMessage {
+    let xid = g.u32();
+    let mut chaddr = [0u8; 6];
+    g.fill(&mut chaddr);
+    let ip = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
+    let server = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
+    match g.usize_in(0, 5) {
+        0 => DhcpMessage::discover(xid, chaddr),
+        1 => DhcpMessage::offer(xid, chaddr, ip, server, g.u32()),
+        2 => DhcpMessage::request(xid, chaddr, ip, server),
+        3 => DhcpMessage::ack(xid, chaddr, ip, server, g.u32()),
+        4 => DhcpMessage::nak(xid, chaddr, server),
+        _ => DhcpMessage::release(xid, chaddr, ip, server),
+    }
+}
+
 #[test]
 fn dhcp_messages_roundtrip() {
     check("dhcp_messages_roundtrip", |g| {
-        let xid = g.u32();
-        let mut chaddr = [0u8; 6];
-        g.fill(&mut chaddr);
-        let ip = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
-        let server = std::net::Ipv4Addr::from(g.u32().to_be_bytes());
-        let lease = g.u32_in(1, 86_400);
-        let msg = match g.usize_in(0, 4) {
-            0 => DhcpMessage::discover(xid, chaddr),
-            1 => DhcpMessage::offer(xid, chaddr, ip, server, lease),
-            2 => DhcpMessage::request(xid, chaddr, ip, server),
-            _ => DhcpMessage::ack(xid, chaddr, ip, server, lease),
-        };
+        let msg = gen_dhcp(g);
         let decoded = DhcpMessage::decode(&msg.encode()).unwrap();
         prop_assert_eq!(decoded, msg);
         Ok(())
@@ -165,6 +190,22 @@ fn dhcp_type_is_preserved() {
 }
 
 // ---------------------------------------------------------------- tcp
+
+fn gen_segment(g: &mut Gen) -> Segment {
+    let mut seg = if g.bool() {
+        Segment::data(g.u64(), SeqNum::new(g.u32()), g.u32_in(0, 65_536))
+    } else {
+        let mut ack = Segment::ack_only(g.u64(), SeqNum::new(g.u32()), SeqNum::new(g.u32()));
+        let blocks = g.vec(0, 4, |g| (SeqNum::new(g.u32()), g.u32_in(1, 100_000)));
+        for (slot, block) in ack.sack.iter_mut().zip(blocks) {
+            *slot = Some(block);
+        }
+        ack
+    };
+    seg.ts_us = g.u64();
+    seg.ts_echo_us = g.option(|g| g.u64());
+    seg
+}
 
 #[test]
 fn seqnum_ordering_is_antisymmetric() {
@@ -509,23 +550,21 @@ fn serialized_reports_reject_nonfinite_mutations() {
 
 // ------------------------------------------- JSON decoders under mutation
 
-/// Apply one to three seeded byte mutations to `text`: flip one of an
-/// ASCII byte's low seven bits, insert a byte (JSON punctuation, digits,
-/// or any ASCII), or delete a byte. The decoders take `&str`, so bytes
-/// that stop being UTF-8 are replaced, as a lossy file read would.
-fn mutate(g: &mut Gen, text: &str) -> String {
-    const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \\tfnul";
-    let mut bytes = text.as_bytes().to_vec();
+/// Apply one to three seeded byte mutations to `bytes`: flip one of the
+/// low `top_bit + 1` bits of a byte, insert the byte `insert` draws, or
+/// delete a byte.
+fn mutate_bytes(
+    g: &mut Gen,
+    mut bytes: Vec<u8>,
+    top_bit: usize,
+    insert: fn(&mut Gen) -> u8,
+) -> Vec<u8> {
     for _ in 0..g.usize_in(1, 3) {
         let at = g.usize_in(0, bytes.len());
         match g.usize_in(0, 2) {
-            0 if at < bytes.len() => bytes[at] ^= 1 << g.usize_in(0, 6),
+            0 if at < bytes.len() => bytes[at] ^= 1 << g.usize_in(0, top_bit),
             1 => {
-                let b = if g.bool() {
-                    ALPHABET[g.usize_in(0, ALPHABET.len() - 1)]
-                } else {
-                    g.u8() & 0x7f
-                };
+                let b = insert(g);
                 bytes.insert(at, b);
             }
             _ if at < bytes.len() => {
@@ -534,26 +573,49 @@ fn mutate(g: &mut Gen, text: &str) -> String {
             _ => {}
         }
     }
+    bytes
+}
+
+/// [`mutate_bytes`] for JSON text: flips stay within ASCII's seven bits
+/// and inserts are JSON punctuation, digits, or any ASCII. The decoders
+/// take `&str`, so bytes that stop being UTF-8 are replaced, as a lossy
+/// file read would.
+fn mutate(g: &mut Gen, text: &str) -> String {
+    const ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \\tfnul";
+    let bytes = mutate_bytes(g, text.as_bytes().to_vec(), 6, |g| {
+        if g.bool() {
+            ALPHABET[g.usize_in(0, ALPHABET.len() - 1)]
+        } else {
+            g.u8() & 0x7f
+        }
+    });
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// The mutation property shared by every JSON decoder: a mutated input
-/// is rejected, or what it decodes to re-serializes to a fixpoint —
-/// decoding that serialization and serializing again gives the same
+/// The mutation property shared by every decoder, JSON and binary: a
+/// mutated input is rejected, or what it decodes to re-encodes to a
+/// fixpoint — decoding that encoding and encoding again gives the same
 /// bytes. (Byte identity with the mutant itself cannot hold: whitespace
-/// and `1.50` for `1.5` are valid JSON the writers never emit.) Panics
+/// and `1.50` for `1.5` are valid JSON the writers never emit, and a
+/// binary decoder may ignore bits the encoder always clears.) Panics
 /// fail the case.
-fn rejected_or_fixpoint<T>(
-    mutant: &str,
-    decode: impl Fn(&str) -> Option<T>,
-    encode: impl Fn(&T) -> String,
-) -> Result<(), String> {
+fn rejected_or_fixpoint<In, T, Out>(
+    mutant: &In,
+    decode: impl Fn(&In) -> Option<T>,
+    encode: impl Fn(&T) -> Out,
+) -> Result<(), String>
+where
+    In: ?Sized + PartialEq + std::fmt::Debug,
+    Out: AsRef<In>,
+{
     let Some(value) = decode(mutant) else {
         return Ok(());
     };
     let once = encode(&value);
-    let again = decode(&once).ok_or_else(|| format!("accepted {mutant:?}, but not {once:?}"))?;
-    prop_assert_eq!(encode(&again), once);
+    let again = decode(once.as_ref())
+        .ok_or_else(|| format!("accepted {mutant:?}, but not {:?}", once.as_ref()))?;
+    let twice = encode(&again);
+    prop_assert_eq!(twice.as_ref(), once.as_ref());
     Ok(())
 }
 
@@ -572,7 +634,7 @@ fn run_record_decoder_survives_byte_mutation() {
     check("run_record_decoder_survives_byte_mutation", |g| {
         let json = RunRecord::to_json(&gen_run_result(g)).unwrap();
         rejected_or_fixpoint(
-            &mutate(g, &json),
+            mutate(g, &json).as_str(),
             |s| RunRecord::from_json(s).ok(),
             |r| RunRecord::to_json(r).unwrap(),
         )
@@ -585,7 +647,7 @@ fn report_decoder_survives_byte_mutation() {
     check("report_decoder_survives_byte_mutation", |g| {
         let json = Report::from_run(&gen_run_result(g)).to_json();
         rejected_or_fixpoint(
-            &mutate(g, &json),
+            mutate(g, &json).as_str(),
             |s| Report::from_json(s).ok(),
             Report::to_json,
         )
@@ -604,7 +666,7 @@ fn manifest_lines_survive_byte_mutation() {
             path: gen_label(g),
         };
         rejected_or_fixpoint(
-            &mutate(g, &entry.to_line()),
+            mutate(g, &entry.to_line()).as_str(),
             ManifestEntry::parse_line,
             ManifestEntry::to_line,
         )?;
@@ -616,7 +678,7 @@ fn manifest_lines_survive_byte_mutation() {
             detail: g.option(gen_label),
         };
         rejected_or_fixpoint(
-            &mutate(g, &note.to_line()),
+            mutate(g, &note.to_line()).as_str(),
             FleetNote::parse_line,
             FleetNote::to_line,
         )
@@ -657,7 +719,104 @@ fn bench_baseline_decoder_survives_byte_mutation() {
         };
         let json = encode(&baseline);
         prop_assert_eq!(Baseline::from_json(&json), Ok(baseline));
-        rejected_or_fixpoint(&mutate(g, &json), |s| Baseline::from_json(s).ok(), encode)
+        rejected_or_fixpoint(
+            mutate(g, &json).as_str(),
+            |s| Baseline::from_json(s).ok(),
+            encode,
+        )
+    });
+}
+
+// ----------------------------------------- binary decoders under mutation
+
+/// Cases per binary-decoder mutation property: each case is cheap, and
+/// most mutants die in the decoder's first few checks.
+const BINARY_MUTATION_CASES: u32 = 1_000;
+
+#[test]
+fn frame_decoder_survives_byte_mutation() {
+    let cfg = Config::cases(BINARY_MUTATION_CASES);
+    check_with("frame_decoder_survives_byte_mutation", cfg, |g| {
+        let bytes = gen_frame(g).encode();
+        rejected_or_fixpoint(
+            mutate_bytes(g, bytes.to_vec(), 7, Gen::u8).as_slice(),
+            |b| Frame::decode(b).ok(),
+            Frame::encode,
+        )
+    });
+}
+
+#[test]
+fn dhcp_decoder_survives_byte_mutation() {
+    let cfg = Config::cases(BINARY_MUTATION_CASES);
+    check_with("dhcp_decoder_survives_byte_mutation", cfg, |g| {
+        let bytes = gen_dhcp(g).encode();
+        rejected_or_fixpoint(
+            mutate_bytes(g, bytes.to_vec(), 7, Gen::u8).as_slice(),
+            |b| DhcpMessage::decode(b).ok(),
+            DhcpMessage::encode,
+        )
+    });
+}
+
+#[test]
+fn segment_decoder_survives_byte_mutation() {
+    let cfg = Config::cases(BINARY_MUTATION_CASES);
+    check_with("segment_decoder_survives_byte_mutation", cfg, |g| {
+        let bytes = gen_segment(g).encode();
+        rejected_or_fixpoint(
+            mutate_bytes(g, bytes.to_vec(), 7, Gen::u8).as_slice(),
+            Segment::decode,
+            Segment::encode,
+        )
+    });
+}
+
+#[test]
+fn world_decoder_survives_byte_mutation() {
+    let cfg = Config::cases(BINARY_MUTATION_CASES);
+    check_with("world_decoder_survives_byte_mutation", cfg, |g| {
+        let bytes = encode_world(&gen_world(g));
+        rejected_or_fixpoint(
+            mutate_bytes(g, bytes, 7, Gen::u8).as_slice(),
+            |b| decode_world(b).ok(),
+            encode_world,
+        )
+    });
+}
+
+#[test]
+fn fleet_message_decoder_survives_byte_mutation() {
+    use spider_repro::fleet::proto::Msg;
+    let cfg = Config::cases(BINARY_MUTATION_CASES);
+    check_with("fleet_message_decoder_survives_byte_mutation", cfg, |g| {
+        let msg = match g.usize_in(0, 4) {
+            0 => Msg::Hello {
+                protocol_version: g.u32(),
+                code_fingerprint: gen_label(g),
+            },
+            1 => Msg::Assign {
+                shard: gen_label(g),
+                world: Box::new(gen_world(g)),
+            },
+            2 => Msg::Done {
+                shard: gen_label(g),
+                record_json: gen_label(g),
+                events_delivered: g.u64(),
+                peak_queue_depth: g.u64(),
+                wall_ms: g.u64(),
+            },
+            3 => Msg::Error {
+                shard: gen_label(g),
+                reason: gen_label(g),
+            },
+            _ => Msg::Shutdown,
+        };
+        rejected_or_fixpoint(
+            mutate_bytes(g, msg.encode(), 7, Gen::u8).as_slice(),
+            |b| Msg::decode(b).ok(),
+            Msg::encode,
+        )
     });
 }
 
