@@ -234,7 +234,9 @@ rc=0
 "$BENCH" des_core --min-effect 10 \
     --compare crates/bench/benches/baselines/des_core.json \
     --json "$PWD/target/BENCH_des.json" \
-    --trajectory "$trajectory" --commit "$commit" || rc=$?
+    --trajectory "$trajectory" --commit "$commit" \
+    >target/BENCH_des.out 2>&1 || rc=$?
+cat target/BENCH_des.out
 case $rc in
     0) echo "ok: des_core within baseline (target/BENCH_des.json, trajectory appended)" ;;
     2) if [ "$machine_quiet" -eq 1 ]; then
@@ -245,6 +247,20 @@ case $rc in
     3) echo "report: des_core measurement inconclusive (machine not stationary) — not gating" ;;
     *) echo "error: bench des_core failed to run (exit $rc)" >&2; exit 1 ;;
 esac
+
+# One RTO timer per connection, moved with EventQueue::rearm, must beat
+# cancel + push (one tombstone per ACK). Same grep-the-verdict contract
+# as des_metro and des_fleet below: bench_pair verdicts never feed the
+# exit code, and the gate demotes to a report when the machine failed its
+# self-check.
+if grep -q 'rto_rearm_vs_cancel_push.* — improvement ' target/BENCH_des.out; then
+    echo "ok: lazy rearm beats cancel + push on des_core"
+elif [ "$machine_quiet" -eq 1 ]; then
+    echo "error: rearm did not beat cancel + push on a machine that passed its self-check" >&2
+    exit 1
+else
+    echo "report: rearm-vs-cancel+push verdict not 'improvement' on a machine that failed its self-check — not gating"
+fi
 
 step "bench des_metro (grid vs linear scan, verdict greped)"
 # The spatial grid must beat the linear scan it replaced on the 1024-AP

@@ -5,11 +5,20 @@
 //! (a monotone sequence number breaks ties). This makes simulation runs
 //! deterministic — the property everything else in this workspace leans on.
 //!
-//! Timers that may need to be rearmed (DHCP retransmits, TCP RTO, channel
-//! scheduler ticks) are handled by *cancellation tokens*: `push` returns an
-//! [`EventId`], and [`EventQueue::cancel`] marks it dead; dead events are
-//! skipped on pop. This is O(1) per cancel and avoids the classic
-//! decrease-key problem.
+//! `push` returns an [`EventId`]. Two operations act on a scheduled event
+//! through it:
+//!
+//! * [`EventQueue::cancel`] marks it dead; dead events are skipped on pop.
+//!   O(1), and it avoids the classic decrease-key problem. The world uses
+//!   it to drop a closed connection's pending RTO.
+//! * [`EventQueue::rearm`] moves it to a new deadline with a new payload,
+//!   popping exactly where `cancel` followed by `push` would have popped
+//!   it. A TCP RTO that moves on every ACK keeps one heap entry per
+//!   connection this way instead of leaving one tombstone per ACK.
+//!
+//! The other protocol timers (join and DHCP retransmits, scheduler ticks)
+//! carry a generation token in their payload instead; a superseded one
+//! fires and is ignored by its handler.
 //!
 //! # Hot-path design: generation-tagged slots
 //!
@@ -22,8 +31,21 @@
 //! entry instead of probing a `BTreeSet`, and slots are recycled through a
 //! free list, so a steady-state run performs no per-event allocation once
 //! the arena has grown to the peak number of outstanding events.
+//!
+//! # Lazy rearm
+//!
+//! Beside each slot the queue records the `(time, seq)` key its event is
+//! due at. Rearming to a later deadline takes the next sequence number,
+//! exactly as a `push` would, updates that key and flags the slot; the
+//! heap entry keeps its older, smaller key. When a flagged entry reaches
+//! the top of the heap it is re-keyed in place and sifted down. Because
+//! the recorded key is the one cancel + push would have given the event,
+//! every event pops in the same order, and no other event's sequence
+//! number moves. A rearm to an earlier deadline cannot be deferred (the
+//! heap entry would surface too late) and falls back to cancel + push.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::Instant;
@@ -39,15 +61,33 @@ pub struct EventId {
     gen: u32,
 }
 
-/// Per-slot bookkeeping: the current generation, whether the event
-/// occupying the slot is still live (scheduled and not cancelled), and
-/// the event payload itself. Keeping the payload here — index-addressed
-/// by the 24-byte heap entries — means heap sift operations move small
-/// fixed-size keys instead of whole events.
+/// Per-slot bookkeeping: the current generation, whether a deferred
+/// rearm is pending, and the event payload itself (`None` once the event
+/// was cancelled or fired, so a slot is live exactly when it holds one).
+/// Keeping the payload here — index-addressed by the 24-byte heap
+/// entries — means heap sift operations move small fixed-size keys
+/// instead of whole events.
 struct Slot<E> {
     gen: u32,
-    live: bool,
+    /// The slot's heap entry carries an older key than its [`Due`] key.
+    deferred: bool,
     event: Option<E>,
+}
+
+impl<E> Slot<E> {
+    fn live(&self) -> bool {
+        self.event.is_some()
+    }
+}
+
+/// The `(time, seq)` key a slot's event fires at: its heap entry's key,
+/// or after a deferred [`EventQueue::rearm`], the later key the entry
+/// is re-keyed to when it reaches the top. Kept beside the slot arena,
+/// not in it, so the pop path reads it only for a deferred slot.
+#[derive(Clone, Copy)]
+struct Due {
+    at: Instant,
+    seq: u64,
 }
 
 struct Entry {
@@ -99,6 +139,8 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
     /// Slot arena; entry `i` holds the event (if any) occupying slot `i`.
     slots: Vec<Slot<E>>,
+    /// Due key of each slot's event, indexed like `slots`.
+    due: Vec<Due>,
     /// Recycled slot indices available for the next push.
     free: Vec<u32>,
     /// Number of cancelled entries still physically present in the heap.
@@ -123,6 +165,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
+            due: Vec::new(),
             free: Vec::new(),
             cancelled: 0,
             next_seq: 0,
@@ -169,18 +212,18 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.live = true;
-                s.event = Some(event);
+                self.slots[slot as usize].event = Some(event);
+                self.due[slot as usize] = Due { at, seq };
                 slot
             }
             None => {
                 let slot = self.slots.len() as u32;
                 self.slots.push(Slot {
                     gen: 0,
-                    live: true,
+                    deferred: false,
                     event: Some(event),
                 });
+                self.due.push(Due { at, seq });
                 slot
             }
         };
@@ -198,8 +241,7 @@ impl<E> EventQueue<E> {
     /// moved on, so the stale handle matches nothing). O(1).
     pub fn cancel(&mut self, id: EventId) {
         if let Some(slot) = self.slots.get_mut(id.slot as usize) {
-            if slot.gen == id.gen && slot.live {
-                slot.live = false;
+            if slot.gen == id.gen && slot.live() {
                 // Drop the payload now; the dead heap entry is just a key.
                 slot.event = None;
                 self.cancelled += 1;
@@ -207,65 +249,112 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Move the event `id` to fire at `at` with payload `event`, and return
+    /// the handle it now answers to.
+    ///
+    /// The result pops exactly where `cancel(id)` followed by
+    /// `push(at, event)` would have popped it: the rearm takes the next
+    /// sequence number as a push does. When `id` is live and `at` is no
+    /// earlier than its current deadline, the move is lazy (see the module
+    /// doc) and `id` itself is returned. An earlier deadline, or an `id`
+    /// whose event already fired or was cancelled, falls back to
+    /// cancel + push and returns the new handle.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current queue time, as
+    /// [`EventQueue::push`] does.
+    pub fn rearm(&mut self, id: EventId, at: Instant, event: E) -> EventId {
+        assert!(
+            at >= self.now,
+            "EventQueue::rearm: scheduling into the past ({at} < now {})",
+            self.now
+        );
+        if let Some(s) = self.slots.get_mut(id.slot as usize) {
+            let due = &mut self.due[id.slot as usize];
+            if s.gen == id.gen && s.live() && at >= due.at {
+                *due = Due {
+                    at,
+                    seq: self.next_seq,
+                };
+                s.deferred = true;
+                s.event = Some(event);
+                self.next_seq += 1;
+                return id;
+            }
+        }
+        self.cancel(id);
+        self.push(at, event)
+    }
+
     /// Retire `slot` once its entry has left the heap: bump the generation
     /// (invalidating outstanding handles) and recycle the index.
     fn release_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
-        s.live = false;
+        s.deferred = false;
         s.event = None;
         self.free.push(slot);
     }
 
     /// Pop the earliest live event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let event = self.slots[entry.slot as usize].event.take();
-            self.release_slot(entry.slot);
-            let Some(event) = event else {
-                // Cancelled: the payload was dropped at cancel time.
-                self.cancelled -= 1;
-                continue;
-            };
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
-            self.now = entry.at;
-            self.popped += 1;
-            return Some((entry.at, event));
-        }
-        None
+        // `peek_time` leaves a live entry, keyed at its due time, on top.
+        let at = self.peek_time()?;
+        let entry = self.heap.pop()?;
+        let event = self.slots[entry.slot as usize].event.take();
+        self.release_slot(entry.slot);
+        debug_assert!(at >= self.now, "event queue time went backwards");
+        self.now = at;
+        self.popped += 1;
+        event.map(|event| (at, event))
     }
 
     /// Time of the earliest live event, without popping it. Drains dead
-    /// entries from the top of the heap as a side effect, so repeated calls
-    /// are cheap; see [`EventQueue::next_live_time`] for a `&self` variant.
+    /// entries from the top of the heap and re-keys a lazily rearmed one
+    /// as a side effect, so repeated calls are cheap; see
+    /// [`EventQueue::next_live_time`] for a `&self` variant.
     pub fn peek_time(&mut self) -> Option<Instant> {
-        while let Some(top) = self.heap.peek() {
-            if self.slots[top.slot as usize].live {
-                return Some(top.at);
-            }
-            if let Some(dead) = self.heap.pop() {
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            let s = &mut self.slots[top.slot as usize];
+            if !s.live() {
+                // Cancelled: the payload was dropped at cancel time.
+                let dead = PeekMut::pop(top);
                 self.cancelled -= 1;
                 self.release_slot(dead.slot);
+            } else if s.deferred {
+                // Rearmed to a later key: re-key in place; dropping
+                // `top` sifts the entry down to where that key belongs.
+                let due = self.due[top.slot as usize];
+                top.at = due.at;
+                top.seq = due.seq;
+                s.deferred = false;
+            } else {
+                return Some(top.at);
             }
         }
-        None
     }
 
     /// Time of the earliest live event without mutating the queue.
     ///
-    /// O(1) when the heap's top entry is live (the common case); falls back
-    /// to a full scan when cancelled entries are stacked on top. Prefer
-    /// [`EventQueue::peek_time`] in loops that also pop — it compacts as it
-    /// goes.
+    /// O(1) when the heap's top entry is live and keyed at its due time
+    /// (the common case); falls back to a full scan when cancelled or
+    /// lazily rearmed entries sit on top. Prefer
+    /// [`EventQueue::peek_time`] in loops that also pop — it compacts as
+    /// it goes.
     pub fn next_live_time(&self) -> Option<Instant> {
         let top = self.heap.peek()?;
-        if self.slots[top.slot as usize].live {
+        let s = &self.slots[top.slot as usize];
+        if s.live() && !s.deferred {
             return Some(top.at);
         }
+        // Every live slot has exactly one heap entry; its due time is the
+        // time it will fire at.
         self.heap
             .iter()
-            .filter(|e| self.slots[e.slot as usize].live)
-            .map(|e| e.at)
+            .map(|e| e.slot as usize)
+            .filter(|&slot| self.slots[slot].live())
+            .map(|slot| self.due[slot].at)
             .min()
     }
 
@@ -503,6 +592,102 @@ mod tests {
             "slot arena grew to {} for 4 outstanding events",
             q.slots.len()
         );
+    }
+
+    #[test]
+    fn rearm_to_later_deadline_is_deferred_in_place() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(10), "a");
+        q.push(Instant::from_millis(20), "b");
+        // Pushed before the rearm, so it keeps the earlier sequence number.
+        q.push(Instant::from_millis(30), "c");
+        let a2 = q.rearm(a, Instant::from_millis(30), "a2");
+        q.push(Instant::from_millis(30), "d");
+        assert_eq!(a2, a, "a deferred rearm keeps its handle");
+        assert_eq!(q.len(), 4, "a deferred rearm leaves no tombstone");
+        assert_eq!(q.live_len(), 4);
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(20)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(20), "b")));
+        // The superseded 10 ms key never fires; the rearmed event takes the
+        // place cancel + push would have given it: after "c", before "d".
+        assert_eq!(q.pop(), Some((Instant::from_millis(30), "c")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(30), "a2")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(30), "d")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.delivered(), 4);
+    }
+
+    #[test]
+    fn rearm_to_earlier_deadline_falls_back_to_cancel_and_push() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(50), "a");
+        let a2 = q.rearm(a, Instant::from_millis(10), "a2");
+        assert_ne!(a2, a);
+        assert_eq!(q.live_len(), 1);
+        assert_eq!(q.len(), 2, "the cancelled original stays as a tombstone");
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(10)));
+        assert_eq!(q.pop(), Some((Instant::from_millis(10), "a2")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn rearm_of_a_fired_event_pushes() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(1), "a");
+        assert_eq!(q.pop().unwrap().1, "a");
+        let b = q.rearm(a, Instant::from_millis(5), "b");
+        assert_eq!(q.live_len(), 1);
+        assert_eq!(q.pop(), Some((Instant::from_millis(5), "b")));
+        // Both handles are stale now; neither touches a later event.
+        let c = q.push(Instant::from_millis(9), "c");
+        q.cancel(a);
+        q.cancel(b);
+        assert_eq!(q.live_len(), 1);
+        let d = q.rearm(b, Instant::from_millis(7), "d");
+        assert_ne!(d, c, "a stale handle must not take over a live slot");
+        assert_eq!(q.pop(), Some((Instant::from_millis(7), "d")));
+        assert_eq!(q.pop(), Some((Instant::from_millis(9), "c")));
+    }
+
+    #[test]
+    fn rearm_then_cancel_fires_nothing() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(10), "a");
+        let a2 = q.rearm(a, Instant::from_millis(20), "a2");
+        q.cancel(a2);
+        assert_eq!(q.live_len(), 0);
+        assert!(q.is_empty());
+        assert_eq!(q.next_live_time(), None);
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.len(), 0, "the tombstone was drained");
+        assert_eq!(q.delivered(), 0);
+    }
+
+    #[test]
+    fn superseded_key_does_not_fire_before_the_rearmed_deadline() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(10), "a");
+        q.rearm(a, Instant::from_millis(30), "a2");
+        // The heap entry still carries the 10 ms key; a deadline between
+        // the two keys must neither fire it nor advance the clock.
+        assert_eq!(q.next_live_time(), Some(Instant::from_millis(30)));
+        assert_eq!(q.pop_at_or_before(Instant::from_millis(20)), None);
+        assert_eq!(q.now(), Instant::ZERO);
+        assert_eq!(q.peek_time(), Some(Instant::from_millis(30)));
+        assert_eq!(
+            q.pop_at_or_before(Instant::from_millis(30)),
+            Some((Instant::from_millis(30), "a2"))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduling into the past")]
+    fn rearming_into_past_panics() {
+        let mut q = EventQueue::new();
+        let a = q.push(Instant::from_millis(20), ());
+        q.push(Instant::from_millis(10), ());
+        q.pop();
+        q.rearm(a, Instant::from_millis(5), ());
     }
 
     #[test]

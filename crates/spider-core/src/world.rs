@@ -47,7 +47,7 @@ use geo::{GridIndex, MoverIndex, RankedSet};
 use mobility::deployment::ApSite;
 use mobility::geometry::Point;
 use mobility::route::Vehicle;
-use sim_engine::queue::EventQueue;
+use sim_engine::queue::{EventId, EventQueue};
 use sim_engine::rng::Rng;
 use sim_engine::runner::{run_until, Handler};
 use sim_engine::stats::Samples;
@@ -230,11 +230,20 @@ impl RunResult {
 enum Event {
     /// An AP's periodic beacon timer.
     BeaconTick { ap: usize },
-    /// A frame from AP `ap` reaches client `client`'s antenna.
+    /// A unicast frame from AP `ap` reaches client `client`'s antenna.
     AirToClient {
         client: usize,
         ap: usize,
         frame: Frame,
+    },
+    /// A broadcast frame from AP `ap` reaches every antenna at once: one
+    /// event per transmission, handled for clients in ascending index.
+    /// A beacon carries the tick time at which it was sent; only clients
+    /// within 400 m of the AP at that instant hear it.
+    AirBroadcast {
+        ap: usize,
+        frame: Frame,
+        heard_at: Option<Instant>,
     },
     /// A frame from a client reaches AP `ap`.
     AirToAp { ap: usize, frame: Frame },
@@ -362,20 +371,35 @@ struct ApNode {
     /// Live content-server connections, sorted by connection id (ids are
     /// minted monotonically, so pushes keep the order). A handful at most
     /// per AP, so a linear scan beats an ordered map on the hot path.
-    senders: Vec<(u64, BulkSender)>,
+    senders: Vec<ServerConn>,
+}
+
+/// One content-server connection and its pending RTO event. The sender
+/// re-arms its timer on nearly every ACK; the world moves this one event
+/// with [`EventQueue::rearm`] instead of pushing a new one each time.
+struct ServerConn {
+    conn: u64,
+    sender: BulkSender,
+    rto: Option<EventId>,
 }
 
 impl ApNode {
-    fn sender_mut(&mut self, conn: u64) -> Option<&mut BulkSender> {
-        self.senders
-            .iter_mut()
-            .find(|(c, _)| *c == conn)
-            .map(|(_, s)| s)
+    fn server_conn(&mut self, conn: u64) -> Option<&mut ServerConn> {
+        self.senders.iter_mut().find(|c| c.conn == conn)
     }
 
-    fn remove_sender(&mut self, conn: u64) {
+    fn sender_mut(&mut self, conn: u64) -> Option<&mut BulkSender> {
+        self.server_conn(conn).map(|c| &mut c.sender)
+    }
+
+    /// Drop connection `conn` and cancel its pending RTO (whose firing
+    /// would find no sender and do nothing).
+    fn remove_sender(&mut self, conn: u64, queue: &mut EventQueue<Event>) {
+        if let Some(rto) = self.server_conn(conn).and_then(|c| c.rto) {
+            queue.cancel(rto);
+        }
         // `retain` keeps the remaining connections in id order.
-        self.senders.retain(|(c, _)| *c != conn);
+        self.senders.retain(|c| c.conn != conn);
     }
 }
 
@@ -718,6 +742,12 @@ impl World {
             .distance(self.aps[ap].site.position)
     }
 
+    /// Whether client `client` is close enough to hear AP `ap`'s beacon
+    /// sent at `at`.
+    fn in_earshot(&self, client: usize, ap: usize, at: Instant) -> bool {
+        self.distance_to(client, ap, at) <= 400.0
+    }
+
     /// Seize the channel medium for `airtime`; returns the arrival instant.
     fn seize_medium(&mut self, channel: Channel, now: Instant, airtime: Duration) -> Instant {
         let free = &mut self.medium[channel.index()];
@@ -800,9 +830,9 @@ impl World {
 
     /// AP transmits `frame` after `extra_delay` (management processing
     /// time). Unicast frames are routed to the station's owning client;
-    /// broadcast frames fan out to every client (one shared-medium seize
-    /// either way — it is one transmission on the air). Whether a client
-    /// *hears* it is decided at arrival.
+    /// broadcast frames reach every client (one shared-medium seize and
+    /// one event either way — it is one transmission on the air). Whether
+    /// a client *hears* it is decided at arrival.
     fn ap_send(
         &mut self,
         ap: usize,
@@ -847,16 +877,14 @@ impl World {
             }
             None => {
                 // Broadcast: one transmission, every antenna sees it.
-                for client in 0..self.clients.len() {
-                    queue.push(
-                        arrival,
-                        Event::AirToClient {
-                            client,
-                            ap,
-                            frame: frame.clone(),
-                        },
-                    );
-                }
+                queue.push(
+                    arrival,
+                    Event::AirBroadcast {
+                        ap,
+                        frame,
+                        heard_at: None,
+                    },
+                );
             }
         }
     }
@@ -944,11 +972,18 @@ impl World {
                     }
                 }
                 SenderAction::ArmTimer { after, token } => {
-                    queue.push(now + after, Event::SenderTimer { ap, conn, token });
+                    // One RTO event per connection, moved on every re-arm.
+                    if let Some(c) = self.aps[ap].server_conn(conn) {
+                        let event = Event::SenderTimer { ap, conn, token };
+                        c.rto = Some(match c.rto {
+                            Some(id) => queue.rearm(id, now + after, event),
+                            None => queue.push(now + after, event),
+                        });
+                    }
                 }
                 SenderAction::Connected => {}
                 SenderAction::Complete => {
-                    self.aps[ap].remove_sender(conn);
+                    self.aps[ap].remove_sender(conn, queue);
                     if let Some((client, iface_idx)) = self.iface_for_conn(conn) {
                         let think = self.cfg.plan.think_time();
                         if think.is_zero() {
@@ -971,7 +1006,7 @@ impl World {
                     }
                 }
                 SenderAction::Aborted => {
-                    self.aps[ap].remove_sender(conn);
+                    self.aps[ap].remove_sender(conn, queue);
                     // If the client is still bound to this AP, retry with a
                     // fresh connection (the old one died of timeouts).
                     if let Some((client, iface_idx)) = self.iface_for_conn(conn) {
@@ -1015,7 +1050,11 @@ impl World {
             .min(self.cfg.bytes_per_connection);
         let mut sender = BulkSender::new(self.cfg.tcp.clone(), conn, object, isn);
         let mut actions = sender.start(now);
-        self.aps[ap].senders.push((conn, sender));
+        self.aps[ap].senders.push(ServerConn {
+            conn,
+            sender,
+            rto: None,
+        });
         node.ifaces[iface_idx].conn = Some(conn);
         node.ifaces[iface_idx].receiver = Some(BulkReceiver::new(conn));
         self.process_sender_actions(ap, conn, &mut actions, queue, now);
@@ -1055,7 +1094,7 @@ impl World {
                         let bssid = self.aps[ap].mac.bssid();
                         self.clients[client].history.record_failure(bssid, now);
                     }
-                    self.teardown_iface(client, iface_idx, now);
+                    self.teardown_iface(client, iface_idx, queue, now);
                 }
             }
         }
@@ -1143,7 +1182,7 @@ impl World {
                         let bssid = self.aps[ap].mac.bssid();
                         self.clients[client].history.record_failure(bssid, now);
                     }
-                    self.teardown_iface(client, iface_idx, now);
+                    self.teardown_iface(client, iface_idx, queue, now);
                 }
             }
         }
@@ -1187,10 +1226,16 @@ impl World {
         self.metrics.record_concurrency(now, connected);
     }
 
-    fn teardown_iface(&mut self, client: usize, iface_idx: usize, now: Instant) {
+    fn teardown_iface(
+        &mut self,
+        client: usize,
+        iface_idx: usize,
+        queue: &mut EventQueue<Event>,
+        now: Instant,
+    ) {
         let iface = &mut self.clients[client].ifaces[iface_idx];
         if let (Some(ap), Some(conn)) = (iface.ap, iface.conn) {
-            self.aps[ap].remove_sender(conn);
+            self.aps[ap].remove_sender(conn, queue);
         }
         let iface = &mut self.clients[client].ifaces[iface_idx];
         if let Some(dhcp) = iface.dhcp.as_mut() {
@@ -1206,7 +1251,7 @@ impl World {
         &mut self,
         client: usize,
         ap: usize,
-        frame: Frame,
+        frame: &Frame,
         queue: &mut EventQueue<Event>,
         now: Instant,
     ) {
@@ -1289,7 +1334,7 @@ impl World {
             }
             _ => {
                 if let Some(mut mac) = self.clients[client].ifaces[iface_idx].mac.take() {
-                    let actions = mac.handle_frame(&frame);
+                    let actions = mac.handle_frame(frame);
                     self.clients[client].ifaces[iface_idx].mac = Some(mac);
                     self.process_mac_actions(client, iface_idx, actions, queue, now);
                 }
@@ -1349,7 +1394,7 @@ impl World {
                 .candidate_for(client, bssid)
                 .is_some_and(|c| now.saturating_since(c.last_heard) <= loss_timeout);
             if !heard_recently {
-                self.teardown_iface(client, idx, now);
+                self.teardown_iface(client, idx, queue, now);
             }
         }
         // 2. Start joins on the current channel.
@@ -1651,7 +1696,7 @@ impl World {
         if best.0 != current && best.1 > current_score * 1.25 + 0.25 {
             for idx in 0..self.clients[client].ifaces.len() {
                 if self.clients[client].ifaces[idx].state != IfaceState::Idle {
-                    self.teardown_iface(client, idx, now);
+                    self.teardown_iface(client, idx, queue, now);
                 }
             }
             let node = &mut self.clients[client];
@@ -1664,13 +1709,10 @@ impl World {
 
     fn beacon_tick(&mut self, ap: usize, queue: &mut EventQueue<Event>, now: Instant) {
         let interval = self.aps[ap].mac.config().beacon_interval;
-        // Fan out to every client within earshot: one transmission on the
-        // air (one medium seize, one airtime charge), one arrival per
-        // in-range antenna. Clients are visited in ascending index order.
-        let in_range: Vec<usize> = (0..self.clients.len())
-            .filter(|&c| self.distance_to(c, ap, now) <= 400.0)
-            .collect();
-        if in_range.is_empty() {
+        // One transmission on the air (one medium seize, one airtime
+        // charge, one event) for every client within earshot; the
+        // `AirBroadcast` handler applies the same 400 m test at `now`.
+        if !(0..self.clients.len()).any(|c| self.in_earshot(c, ap, now)) {
             // Out of everyone's earshot: check back lazily instead of
             // spamming events.
             queue.push(now + Duration::from_secs(2), Event::BeaconTick { ap });
@@ -1680,16 +1722,14 @@ impl World {
         let channel = self.aps[ap].site.channel;
         let airtime = self.cfg.phy.airtime(frame.wire_len());
         let arrival = self.seize_medium(channel, now, airtime);
-        for client in in_range {
-            queue.push(
-                arrival,
-                Event::AirToClient {
-                    client,
-                    ap,
-                    frame: frame.clone(),
-                },
-            );
-        }
+        queue.push(
+            arrival,
+            Event::AirBroadcast {
+                ap,
+                frame,
+                heard_at: Some(now),
+            },
+        );
         queue.push(now + interval, Event::BeaconTick { ap });
     }
 
@@ -1740,7 +1780,23 @@ impl Handler<Event> for World {
         match event {
             Event::BeaconTick { ap } => self.beacon_tick(ap, queue, now),
             Event::AirToClient { client, ap, frame } => {
-                self.on_air_to_client(client, ap, frame, queue, now)
+                self.on_air_to_client(client, ap, &frame, queue, now)
+            }
+            Event::AirBroadcast {
+                ap,
+                frame,
+                heard_at,
+            } => {
+                // Visiting clients in ascending index inside one event is
+                // the order one arrival event per client would pop in:
+                // pushed together, they would share this instant and
+                // consecutive sequence numbers, so they would pop back to
+                // back, ahead of anything their handling schedules.
+                for client in 0..self.clients.len() {
+                    if heard_at.is_none_or(|t| self.in_earshot(client, ap, t)) {
+                        self.on_air_to_client(client, ap, &frame, queue, now);
+                    }
+                }
             }
             Event::AirToAp { ap, frame } => {
                 let mut actions = std::mem::take(&mut self.ap_actions_scratch);
@@ -1897,7 +1953,7 @@ impl Handler<Event> for World {
                     self.clients[client].ifaces[iface].state = IfaceState::Idle;
                     self.start_join(client, iface, ap, queue, now);
                 } else {
-                    self.teardown_iface(client, iface, now);
+                    self.teardown_iface(client, iface, queue, now);
                 }
             }
             Event::Maintenance => {
@@ -2479,5 +2535,88 @@ mod tests {
                 c.cell_crossings
             );
         }
+    }
+
+    #[test]
+    fn beacons_reach_only_clients_in_earshot_in_client_order() {
+        // One AP at the origin. Client 0 sits 10 m away, client 1 a
+        // kilometre away (out of earshot), client 2 60 m away.
+        let fleet = vec![
+            ClientMotion::Fixed(Point::new(1_000.0, 0.0)),
+            ClientMotion::Fixed(Point::new(0.0, 60.0)),
+        ];
+        let mk = || {
+            let mut cfg = static_world(
+                vec![site(1, 0.0, Channel::CH1, 2_000_000)],
+                SpiderConfig::single_channel_multi_ap(Channel::CH1),
+                10,
+            );
+            cfg.fleet = fleet.clone();
+            World::new(cfg)
+        };
+        let end = Instant::from_secs(10);
+        // Pump both worlds identically up to the first beacon on the air.
+        let first_beacon = |world: &mut World, queue: &mut EventQueue<Event>| loop {
+            let (at, event) = queue.pop_at_or_before(end).expect("a beacon is sent");
+            match event {
+                Event::AirBroadcast {
+                    ap,
+                    frame,
+                    heard_at: Some(tick),
+                } => return (at, ap, frame, tick),
+                event => world.handle(at, event, queue),
+            }
+        };
+        let (mut one, mut one_q) = mk();
+        let (at, ap, frame, tick) = first_beacon(&mut one, &mut one_q);
+        let (mut fan, mut fan_q) = mk();
+        let (fan_at, ..) = first_beacon(&mut fan, &mut fan_q);
+        assert_eq!(at, fan_at);
+        assert!(!one.in_earshot(1, ap, tick) && one.in_earshot(2, ap, tick));
+
+        // One event for the whole transmission ...
+        one.handle(
+            at,
+            Event::AirBroadcast {
+                ap,
+                frame: frame.clone(),
+                heard_at: Some(tick),
+            },
+            &mut one_q,
+        );
+        // ... against the per-receiver fan-out it replaces: one arrival
+        // per in-range client, back to back in ascending client order.
+        for client in [0, 2] {
+            let frame = frame.clone();
+            fan.handle(at, Event::AirToClient { client, ap, frame }, &mut fan_q);
+        }
+        let heard: Vec<bool> = one.clients.iter().map(|c| c.scan[ap].is_some()).collect();
+        assert_eq!(heard, [true, false, true]);
+        for client in 0..3 {
+            assert_eq!(
+                format!("{:?}", one.clients[client].scan[ap]),
+                format!("{:?}", fan.clients[client].scan[ap]),
+            );
+            // The far client's PHY stream took no delivery draw: it was
+            // never visited. (Both sides advance by one draw here.)
+            assert_eq!(
+                one.clients[client].rng_phy.next_u64(),
+                fan.clients[client].rng_phy.next_u64(),
+                "client {client} was visited differently"
+            );
+        }
+
+        // The rest of the run is byte-identical, and the far client never
+        // hears the AP at all.
+        run_until(&mut one_q, &mut one, end);
+        run_until(&mut fan_q, &mut fan, end);
+        assert!(one.clients[1].scan[ap].is_none());
+        let one = one.result();
+        assert_eq!(one.per_client[1].joins, 0);
+        assert!(one.per_client[0].joins > 0 && one.per_client[2].joins > 0);
+        assert_eq!(
+            crate::report::RunRecord::to_json(&one).expect("serialize"),
+            crate::report::RunRecord::to_json(&fan.result()).expect("serialize"),
+        );
     }
 }

@@ -861,12 +861,14 @@ fn dhcp_client_is_storm_proof() {
 // ------------------------------------------------ stateful model checks
 
 /// The event queue agrees with a sorted-vector reference model under
-/// arbitrary interleavings of pushes, pops, and cancellations.
+/// arbitrary interleavings of pushes, pops, cancellations and rearms. The
+/// model knows no rearm: it cancels the entry and pushes the new one with
+/// the next sequence number, which the queue's lazy rearm must match.
 #[test]
 fn event_queue_matches_reference_model() {
     check("event_queue_matches_reference_model", |g| {
         use spider_repro::engine::EventQueue;
-        let ops = g.vec(1, 200, |g| (g.usize_in(0, 4), g.u64_in(0, 1_000)));
+        let ops = g.vec(1, 200, |g| (g.usize_in(0, 6), g.u64_in(0, 1_000)));
         let mut q: EventQueue<u64> = EventQueue::new();
         // Reference: Vec of (time_ms, insertion_seq, value, cancelled).
         let mut model: Vec<(u64, u64, u64, bool)> = Vec::new();
@@ -904,6 +906,37 @@ fn event_queue_matches_reference_model() {
                     // for a live event above. Nothing may change.
                     if !stale_ids.is_empty() {
                         q.cancel(stale_ids[(arg as usize) % stale_ids.len()]);
+                    }
+                }
+                3 => {
+                    // Rearm a live id to now + arg: later than its
+                    // deadline (deferred in place) or earlier (fallback).
+                    if !ids.is_empty() {
+                        let k = (arg as usize) % ids.len();
+                        let (id, s) = ids[k];
+                        let t = now_ms + arg;
+                        let new_id = q.rearm(id, Instant::from_millis(t), seq);
+                        if new_id != id {
+                            stale_ids.push(id);
+                        }
+                        ids[k] = (new_id, seq);
+                        if let Some(e) = model.iter_mut().find(|e| e.1 == s) {
+                            e.3 = true;
+                        }
+                        model.push((t, seq, seq, false));
+                        seq += 1;
+                    }
+                }
+                4 => {
+                    // Rearm a stale id: nothing it names is live, so this
+                    // is a plain push.
+                    if !stale_ids.is_empty() {
+                        let stale = stale_ids[(arg as usize) % stale_ids.len()];
+                        let t = now_ms + arg;
+                        let id = q.rearm(stale, Instant::from_millis(t), seq);
+                        ids.push((id, seq));
+                        model.push((t, seq, seq, false));
+                        seq += 1;
                     }
                 }
                 _ => {
